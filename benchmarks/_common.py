@@ -16,8 +16,8 @@ JSON artefact carries a schema ``version`` field
 (:data:`repro.obs.perf.SCHEMA_VERSION`).
 
 On top of that, :func:`save_table` feeds the **benchmark history store**
-(:mod:`repro.obs.perf`): each experiment appends one record — wall time,
-problem size, git commit, caller-supplied perf metrics — to
+(:mod:`repro.obs.perf`): each experiment appends one record — problem size,
+git commit, caller-supplied perf metrics — to
 ``benchmarks/out/history.jsonl`` and rolls the trajectory up into the
 repo-root ``BENCH_PERF.json``.  ``python -m repro perfcheck`` gates on
 those records; ``python -m repro dashboard`` charts them.
@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -64,7 +63,6 @@ REGISTRY = MetricsRegistry()
 QUIET = os.environ.get("REPRO_BENCH_QUIET", "").lower() in ("1", "true", "yes")
 
 _COMMIT = perf.current_commit(Path(__file__).parent)
-_LAST_SAVE_T = time.perf_counter()
 
 
 def set_quiet(flag: bool) -> None:
@@ -83,11 +81,11 @@ def record_run(
 ) -> dict:
     """Append one experiment's perf record to the history store.
 
-    The record's metrics are the experiment's wall time, any registry
-    series labelled with this ``exp_id`` (table bytes/rows), and the
-    caller's ``perf_metrics`` (simulated cycles, memory traffic, host
-    bandwidth, ...).  Also refreshes the ``BENCH_PERF.json`` trajectory
-    at the repo root.  Returns the record.
+    The record's metrics are the experiment's wall time (when given),
+    any registry series labelled with this ``exp_id`` (table
+    bytes/rows), and the caller's ``perf_metrics`` (simulated cycles,
+    memory traffic, host bandwidth, ...).  Also refreshes the
+    ``BENCH_PERF.json`` trajectory at the repo root.  Returns the record.
     """
     metrics: dict[str, float] = {}
     if wall_time_s is not None:
@@ -139,9 +137,9 @@ def save_table(
     history record (see :func:`record_run`).  When ``n``/``m`` are not
     given they are inferred from the rows' own ``"n"``/``"m"`` columns
     (largest value), so history records carry dimensions whenever the
-    table knows them.
+    table knows them.  No wall time is recorded: the time between two
+    saves is not a measurement of either experiment.
     """
-    global _LAST_SAVE_T
     if rows:
         # History records must always carry dimensions when they are
         # knowable: benchmarks that format per-size rows but never pass
@@ -175,12 +173,8 @@ def save_table(
         json.dumps(payload, indent=2, sort_keys=True, default=repr)
     )
 
-    now = time.perf_counter()
-    wall = now - _LAST_SAVE_T
-    _LAST_SAVE_T = now
     record_run(
-        exp_id, title=title, wall_time_s=wall, n=n, m=m,
-        perf_metrics=perf_metrics,
+        exp_id, title=title, n=n, m=m, perf_metrics=perf_metrics,
     )
 
     if not QUIET:

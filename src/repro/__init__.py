@@ -34,46 +34,74 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.viz` — ASCII renderings of the figures.
 """
 
-from .core.partitioner import (  # noqa: F401
-    PartitionedImplementation,
-    partition,
-    partition_transitive_closure,
-)
-from .core.semiring import (  # noqa: F401
-    BOOLEAN,
-    COUNTING,
-    MAX_MIN,
-    MIN_PLUS,
-    REAL,
-    SEMIRINGS,
-    Semiring,
-)
-from .core.graph import Axis, DependenceGraph, NodeKind, PortRef, port  # noqa: F401
-from .core.ggraph import GGraph, group_by_columns, group_by_rows  # noqa: F401
-from .core.verify import VerificationReport, verify_implementation  # noqa: F401
+from __future__ import annotations
+
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .core.ggraph import GGraph, group_by_columns, group_by_rows  # noqa: F401
+    from .core.graph import Axis, DependenceGraph, NodeKind, PortRef, port  # noqa: F401
+    from .core.partitioner import (  # noqa: F401
+        PartitionedImplementation,
+        partition,
+        partition_transitive_closure,
+    )
+    from .core.semiring import (  # noqa: F401
+        BOOLEAN,
+        COUNTING,
+        MAX_MIN,
+        MIN_PLUS,
+        REAL,
+        SEMIRINGS,
+        Semiring,
+    )
+    from .core.verify import VerificationReport, verify_implementation  # noqa: F401
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PartitionedImplementation",
-    "partition",
-    "partition_transitive_closure",
-    "DependenceGraph",
-    "NodeKind",
-    "Axis",
-    "PortRef",
-    "port",
-    "GGraph",
-    "group_by_columns",
-    "group_by_rows",
-    "VerificationReport",
-    "verify_implementation",
-    "Semiring",
-    "BOOLEAN",
-    "MIN_PLUS",
-    "MAX_MIN",
-    "COUNTING",
-    "REAL",
-    "SEMIRINGS",
-    "__version__",
-]
+#: Public name -> defining submodule, imported on first access (PEP 562):
+#: ``python -m repro closure`` never pays for networkx or the array
+#: pipeline it does not use.  Must list exactly the names imported under
+#: ``TYPE_CHECKING`` above (tests/test_api.py checks this).
+_LAZY = {
+    "PartitionedImplementation": ".core.partitioner",
+    "partition": ".core.partitioner",
+    "partition_transitive_closure": ".core.partitioner",
+    "DependenceGraph": ".core.graph",
+    "NodeKind": ".core.graph",
+    "Axis": ".core.graph",
+    "PortRef": ".core.graph",
+    "port": ".core.graph",
+    "GGraph": ".core.ggraph",
+    "group_by_columns": ".core.ggraph",
+    "group_by_rows": ".core.ggraph",
+    "VerificationReport": ".core.verify",
+    "verify_implementation": ".core.verify",
+    "Semiring": ".core.semiring",
+    "BOOLEAN": ".core.semiring",
+    "MIN_PLUS": ".core.semiring",
+    "MAX_MIN": ".core.semiring",
+    "COUNTING": ".core.semiring",
+    "REAL": ".core.semiring",
+    "SEMIRINGS": ".core.semiring",
+}
+
+__all__ = [*_LAZY, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    dunders = (k for k in globals() if k.startswith("__") and k.endswith("__"))
+    return sorted({*__all__, *dunders})

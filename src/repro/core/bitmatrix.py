@@ -134,6 +134,11 @@ def closure_boolean(a: np.ndarray) -> np.ndarray:
 
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Per-row set-bit counts of a packed matrix (reach-set sizes)."""
-    bytes_ = np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)
-    return np.unpackbits(bytes_, axis=1).sum(axis=1, dtype=np.int64)
+    """Per-row set-bit counts of a packed matrix (reach-set sizes).
+
+    A word-level popcount (``np.bitwise_count``, NumPy >= 2.0): no
+    unpacked one-byte-per-bit intermediate, so the cost is one pass
+    over the words.
+    """
+    counts = np.bitwise_count(np.asarray(words, dtype=np.uint64))
+    return counts.sum(axis=1, dtype=np.int64)

@@ -29,6 +29,12 @@ def random_bool(n: int, density: float, seed: int) -> np.ndarray:
     return rng.random((n, n)) < density
 
 
+def unpackbits_popcount(words: np.ndarray) -> np.ndarray:
+    """Reference row popcount: unpack every bit into a byte, then sum."""
+    bytes_ = np.ascontiguousarray(words, dtype=np.uint64).view(np.uint8)
+    return np.unpackbits(bytes_, axis=1).sum(axis=1, dtype=np.int64)
+
+
 class TestPacking:
     def test_words_per_row(self) -> None:
         assert words_per_row(0) == 0
@@ -67,6 +73,28 @@ class TestPacking:
         assert np.array_equal(
             popcount_rows(pack_rows(a)), a.sum(axis=1, dtype=np.int64)
         )
+
+    @pytest.mark.parametrize("ncols", (63, 64, 65, 127, 128, 129))
+    @pytest.mark.parametrize("fill", ("random", "ones", "zeros"))
+    def test_popcount_matches_unpackbits(self, ncols: int, fill: str) -> None:
+        if fill == "random":
+            a = np.random.default_rng(ncols).random((9, ncols)) < 0.5
+        else:
+            a = np.full((9, ncols), fill == "ones", dtype=np.bool_)
+        words = pack_rows(a)
+        assert np.array_equal(popcount_rows(words), unpackbits_popcount(words))
+        assert np.array_equal(popcount_rows(words), a.sum(axis=1))
+
+    @pytest.mark.parametrize("w", (0, 1, 3))
+    def test_popcount_no_rows(self, w: int) -> None:
+        counts = popcount_rows(np.zeros((0, w), dtype=np.uint64))
+        assert counts.shape == (0,) and counts.dtype == np.int64
+
+    def test_popcount_non_contiguous(self) -> None:
+        words = pack_rows(random_bool(200, 0.5, seed=7))
+        view = words[::3, 1:]
+        assert not view.flags["C_CONTIGUOUS"]
+        assert np.array_equal(popcount_rows(view), unpackbits_popcount(view))
 
     def test_shape_errors(self) -> None:
         with pytest.raises(ValueError):

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,9 +73,61 @@ def test_all_exports_exist_and_are_documented(name: str) -> None:
 
 
 def test_top_level_exports() -> None:
+    ns: dict = {}
+    exec("from repro import *", ns)
     for sym in repro.__all__:
-        assert hasattr(repro, sym)
+        assert ns[sym] is getattr(repro, sym), sym
+    listed = dir(repro)
+    assert set(repro.__all__) <= set(listed)
+    assert all(k in repro.__all__ or k.startswith("__") for k in listed)
     assert repro.__version__ == "1.0.0"
+
+
+def test_lazy_table_matches_typed_imports() -> None:
+    """``_LAZY`` and the ``TYPE_CHECKING`` imports name the same symbols."""
+    tree = ast.parse(Path(repro.__file__).read_text())
+    block = next(
+        node for node in tree.body
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+    )
+    typed = {
+        alias.name: "." * node.level + (node.module or "")
+        for node in block.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert typed == repro._LAZY
+
+
+def fresh_interpreter(code: str, cwd: Path) -> str:
+    """Run ``code`` in a new interpreter; return its last stdout line."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return out.splitlines()[-1]
+
+
+def test_unknown_attribute_raises() -> None:
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(repro, "no_such_name")
+    assert not hasattr(repro, "no_such_name")
+
+
+def test_closure_verb_skips_array_pipeline_imports(tmp_path) -> None:
+    """``repro closure`` never imports networkx or the partitioner."""
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "rc = main(['closure', '--dataset', 'kron:scale=8', "
+        "'--check', 'ssc12', '--format', 'json'])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in ('networkx', 'repro.core.partitioner') "
+        "if m in sys.modules))\n"
+    )
+    assert fresh_interpreter(code, tmp_path) == "[]"
 
 
 def test_top_level_quickstart_docstring_runs() -> None:

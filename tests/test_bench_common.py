@@ -4,12 +4,17 @@ Benchmarks that format per-size rows but never pass ``n``/``m``
 explicitly (A-ALN and friends) used to land in the history store as
 ``"n": null`` — :func:`save_table` now infers dimensions from the rows
 themselves, so records carry them whenever the table knows them.
+
+``wall_time_s`` used to be the time since the previous ``save_table``
+call, which varied 8x at one commit; :func:`save_table` no longer
+records one.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,21 @@ class TestSaveTableStampsDims:
         assert [r["n"] for r in recs] == [None, 12]
         doc = json.loads(common.TRAJECTORY_PATH.read_text())
         assert {"T-NULL", "T-DIM"} <= set(doc["experiments"])
+
+
+class TestWallTime:
+    def test_time_between_saves_is_not_recorded(self, common) -> None:
+        common.save_table("T-A", "t", "body")
+        time.sleep(0.2)
+        common.save_table("T-B", "t", "body")
+        recs = [json.loads(line)
+                for line in common.HISTORY_PATH.read_text().splitlines()]
+        assert all("wall_time_s" not in r["metrics"] for r in recs)
+
+    def test_dashboard_renders_records_without_wall_time(self, common) -> None:
+        from repro.obs.dashboard import render_dashboard
+        from repro.obs.perf import load_history
+
+        common.save_table("T-A", "t", "body", rows=[{"n": 6, "m": 3}])
+        html = render_dashboard(history=load_history(common.HISTORY_PATH))
+        assert "Benchmark history" in html and "T-A" in html

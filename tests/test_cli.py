@@ -442,6 +442,25 @@ class TestClosureVerb:
         # repo root (and certainly not at filesystem root).
         assert (tmp_path / "hist" / "BENCH_PERF.json").exists()
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_reach_counts_read_once(self, capsys, tmp_path, monkeypatch,
+                                    fmt: str) -> None:
+        from repro.datasets.closure import ClosureResult
+
+        # A plain property: the benchmark tracer wraps it via ``fget``.
+        fget = ClosureResult.__dict__["reach_counts"].fget
+        calls = []
+
+        def counted(self):
+            calls.append(self.engine)
+            return fget(self)
+
+        monkeypatch.setattr(ClosureResult, "reach_counts", property(counted))
+        run_cli(capsys, "closure", "--dataset", "kron:scale=5,edges=4",
+                "--check", "ssc12", "--format", fmt,
+                "--record", str(tmp_path / "history.jsonl"))
+        assert calls == ["bitpack"]
+
     def test_emits_run_ledger(self, capsys, tmp_path, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_RUNLOG_DIR", str(tmp_path))
         run_cli(capsys, "closure", "--dataset", "kron:scale=4,edges=4",
