@@ -20,7 +20,9 @@ On top of that, :func:`save_table` feeds the **benchmark history store**
 git commit, caller-supplied perf metrics — to
 ``benchmarks/out/history.jsonl`` and rolls the trajectory up into the
 repo-root ``BENCH_PERF.json``.  ``python -m repro perfcheck`` gates on
-those records; ``python -m repro dashboard`` charts them.
+their deterministic measures (simulated cycles, memory traffic, host
+bandwidth).  No wall-clock value goes into a record: timing verdicts
+come from the end-to-end benchmark in ``benchmarks/e2e/``.
 
 Quiet mode: set ``REPRO_BENCH_QUIET=1`` (or pass ``--bench-quiet`` to
 pytest, see ``benchmarks/conftest.py``) to suppress the table echo on
@@ -74,22 +76,18 @@ def set_quiet(flag: bool) -> None:
 def record_run(
     exp_id: str,
     title: str = "",
-    wall_time_s: float | None = None,
     n: int | None = None,
     m: int | None = None,
     perf_metrics: Mapping[str, float] | None = None,
 ) -> dict:
     """Append one experiment's perf record to the history store.
 
-    The record's metrics are the experiment's wall time (when given),
-    any registry series labelled with this ``exp_id`` (table
-    bytes/rows), and the caller's ``perf_metrics`` (simulated cycles,
-    memory traffic, host bandwidth, ...).  Also refreshes the
+    The record's metrics are any registry series labelled with this
+    ``exp_id`` (table bytes/rows) and the caller's ``perf_metrics``
+    (simulated cycles, memory traffic, host bandwidth, ...).  Also refreshes the
     ``BENCH_PERF.json`` trajectory at the repo root.  Returns the record.
     """
     metrics: dict[str, float] = {}
-    if wall_time_s is not None:
-        metrics["wall_time_s"] = round(wall_time_s, 6)
     for metric in REGISTRY:
         for series in metric.to_json()["series"]:
             if series["labels"].get("exp") == exp_id:

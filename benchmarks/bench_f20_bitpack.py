@@ -38,12 +38,6 @@ def test_bitpack_speedup(benchmark):
     save_table(
         "F20-BIT", "bit-packed boolean closure vs unpacked Warshall",
         format_table(rows), rows=rows,
-        perf_metrics={
-            "bitpack_speedup_n1024": next(
-                r["speedup"] for r in rows if r["n"] == GATE_N
-            ),
-            "bitpack_t_s": rows[-1]["t_bitpack_s"],
-        },
     )
 
 

@@ -54,5 +54,4 @@ def test_reference_vectorization(benchmark):
     save_table(
         "A-PERF", "software-oracle vectorization (guide-driven)",
         format_table(rows), rows=rows, n=rows[-1]["n"],
-        perf_metrics={"oracle_vectorized_ms": rows[-1]["vectorized_ms"]},
     )

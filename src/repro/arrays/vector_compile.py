@@ -758,10 +758,6 @@ def get_compiled(
     if hit is not None:
         _HITS += 1
         reg.counter(
-            "repro_vector_cache_hits_total",
-            "Compiled-plan cache hits",
-        ).inc()
-        reg.counter(
             "repro_plan_cache_hits_total",
             "Compiled-plan cache hits by experiment",
         ).inc(experiment=experiment)
@@ -771,10 +767,6 @@ def get_compiled(
         )
         return hit
     _MISSES += 1
-    reg.counter(
-        "repro_vector_cache_misses_total",
-        "Compiled-plan cache misses (each is one compile)",
-    ).inc()
     reg.counter(
         "repro_plan_cache_misses_total",
         "Compiled-plan cache misses by experiment (each is one compile)",

@@ -225,11 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --dataset: sampled source count for the "
                         "per-source engines on graphs above the dense "
                         "cutoff (default: 64, deterministic)")
-    s.add_argument("--record", nargs="?", metavar="FILE", default=None,
-                   const="benchmarks/out/history.jsonl",
-                   help="with --dataset: append a DS-<name> perf record "
-                        "to the history (default FILE: benchmarks/out/"
-                        "history.jsonl) and refresh BENCH_PERF.json")
 
     s = sub.add_parser(
         "closure",
@@ -258,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=("text", "json"), default="text")
     s.add_argument("--out", metavar="FILE", default=None,
                    help="write the summary to FILE instead of stdout")
-    s.add_argument("--record", nargs="?", metavar="FILE", default=None,
-                   const="benchmarks/out/history.jsonl",
-                   help="append a DS-<name> perf record to the history "
-                        "(default FILE: benchmarks/out/history.jsonl) "
-                        "and refresh BENCH_PERF.json")
 
     s = sub.add_parser(
         "stats",
@@ -280,22 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "perfcheck",
-        help="compare two perf artefacts (history/baseline/trajectory) and "
-             "exit non-zero on regression",
+        help="gate two perf artefacts (history/baseline/trajectory) on "
+             "the deterministic measures (simulated cycles, memory "
+             "traffic, host bandwidth); exit non-zero on regression",
     )
     s.add_argument("--baseline", required=True, metavar="FILE",
                    help="baseline artefact: baseline/trajectory JSON or "
                         "history JSONL")
     s.add_argument("--current", required=True, metavar="FILE",
                    help="current artefact (same accepted formats)")
-    s.add_argument("--threshold", action="append", default=[],
-                   metavar="CLASS=REL",
-                   help="override a class threshold, e.g. wall_time=0.5 "
-                        "(classes: wall_time, sim_cycles, memory_traffic, "
-                        "host_bandwidth, other)")
-    s.add_argument("--classes", default=None,
-                   help="comma-separated metric classes to compare "
-                        "(default: all; CI uses the deterministic ones)")
     s.add_argument("--update-baseline", action="store_true",
                    help="instead of comparing, rewrite --baseline from the "
                         "latest records of --current")
@@ -334,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--folded-out", metavar="FILE", default=None,
                    help="write the phase tree in folded-stack format "
                         "(flamegraph.pl / speedscope / inferno input)")
-    s.add_argument("--record", nargs="?", metavar="FILE", default=None,
-                   const="benchmarks/out/history.jsonl",
-                   help="append a '<exp>:profile' record of per-phase "
-                        "self-times to the perf history (default FILE: "
-                        "benchmarks/out/history.jsonl); perfcheck uses "
-                        "it to blame wall-time regressions")
     s.add_argument("--from-run", metavar="RUN_ID", default=None,
                    help="rebuild the phase profile from a past run's "
                         "ledger instead of running anything")
@@ -392,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dashboard",
         help="render the self-contained HTML performance dashboard "
              "(per-cell heatmaps, occupancy lanes, measured-vs-closed-form "
-             "curves, perf trajectory)",
+             "curves, run ledger)",
     )
     s.add_argument("--out", metavar="FILE", default="dashboard.html")
     s.add_argument("--n", type=int, default=9)
@@ -403,10 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sizes", default=None,
                    help="comma-separated n values for the closed-form sweep "
                         "(default: around --n)")
-    s.add_argument("--history", metavar="FILE",
-                   default="benchmarks/out/history.jsonl",
-                   help="benchmark history JSONL for the trajectory section "
-                        "(skipped when missing)")
     s.add_argument("--runs", metavar="DIR", default=None,
                    help="run-ledger directory for the run-history panel "
                         "(default: REPRO_RUNLOG_DIR or ./runs; skipped "
@@ -849,37 +822,6 @@ def _sample_sources(n: int, k: int) -> "np.ndarray":
     return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
 
 
-def _record_dataset_run(path, exp_id: str, metrics, n: int, m: int) -> dict:
-    """Append a dataset perf record and refresh the trajectory roll-up.
-
-    Mirrors the benchmark harness (``benchmarks/_common.py``): the
-    record lands in the JSONL history at ``path`` and the repo-root
-    ``BENCH_PERF.json`` is rebuilt from the full history, so dataset
-    runs show up in ``perfcheck`` and the dashboard trajectory panel
-    alongside the experiment tables.
-    """
-    from pathlib import Path
-
-    from .obs import perf, runlog
-
-    p = Path(path)
-    rec = perf.make_record(
-        exp_id, metrics, n=n, m=m,
-        commit=perf.current_commit(p.parent),
-        run_id=runlog.current_run_id(),
-    )
-    perf.append_history(p, rec)
-    # The canonical benchmarks/out/history.jsonl rolls up to the
-    # repo-root BENCH_PERF.json (same layout as benchmarks/_common.py);
-    # a custom history path keeps its roll-up alongside itself.
-    if p.as_posix().endswith("benchmarks/out/history.jsonl"):
-        trajectory = p.parent.parent.parent / "BENCH_PERF.json"
-    else:
-        trajectory = p.parent / "BENCH_PERF.json"
-    perf.write_trajectory(trajectory, perf.load_history(p))
-    return rec
-
-
 def _cmd_closure(args) -> int:
     import json
     from time import perf_counter
@@ -898,7 +840,7 @@ def _cmd_closure(args) -> int:
     t0 = perf_counter()
     res = compute_closure(ds, args.engine)
     wall = perf_counter() - t0
-    # One popcount per result: the summary, ledger and record share it.
+    # One popcount per result: the summary and the ledger share it.
     closure_edges = res.closure_edges
     summary = {
         "dataset": ds.describe(),
@@ -938,16 +880,6 @@ def _cmd_closure(args) -> int:
             "closure_check", engine=other.engine, agree=agree,
             sources=int(len(other.sources)),
         )
-
-    if args.record:
-        metrics = {
-            "wall_time_s": summary["wall_s"],
-            "closure_edges": float(closure_edges),
-        }
-        rec = _record_dataset_run(
-            args.record, f"DS-{ds.name}", metrics, ds.n, ds.m
-        )
-        print(f"closure: appended {rec['exp_id']} record to {args.record}")
 
     if args.format == "json":
         body = json.dumps(summary, indent=2, sort_keys=True)
@@ -1002,11 +934,10 @@ def _bench_dataset(args) -> int:
     t0 = perf_counter()
     oracle = compute_closure(ds, "bitpack")
     oracle_wall = perf_counter() - t0
-    oracle_edges = oracle.closure_edges
     rows = [{
         "engine": "bitpack", "kernel": oracle.kernel,
         "sources": ds.n, "wall_s": round(oracle_wall, 6),
-        "closure_edges": oracle_edges, "agree": True,
+        "closure_edges": oracle.closure_edges, "agree": True,
     }]
 
     big = ds.n > DENSE_CUTOFF
@@ -1056,15 +987,6 @@ def _bench_dataset(args) -> int:
         runlog.emit("closure", dataset=ds.name, **row)
     print(f"== DS-{ds.name}: closure engines on n={ds.n}, m={ds.m} ==")
     print(format_table(rows))
-    if args.record:
-        metrics = {"wall_time_s": rows[0]["wall_s"],
-                   "closure_edges": float(oracle_edges)}
-        for row in rows[1:]:
-            metrics[f"{row['engine']}_wall_s"] = row["wall_s"]
-        rec = _record_dataset_run(
-            args.record, f"DS-{ds.name}", metrics, ds.n, ds.m
-        )
-        print(f"bench: appended {rec['exp_id']} record to {args.record}")
     return 0 if all(r["agree"] for r in rows) else 1
 
 
@@ -1194,52 +1116,11 @@ def _cmd_perfcheck(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"perfcheck: cannot read --baseline: {exc}", file=sys.stderr)
         return 2
-    thresholds = {}
-    for spec in args.threshold:
-        cls, _, value = spec.partition("=")
-        try:
-            thresholds[cls.strip()] = float(value)
-        except ValueError:
-            print(f"perfcheck: bad --threshold {spec!r} (want CLASS=REL)",
-                  file=sys.stderr)
-            return 2
-    classes = (
-        [c.strip() for c in args.classes.split(",") if c.strip()]
-        if args.classes else None
-    )
-    try:
-        regressions = perf.compare(
-            baseline, current, thresholds=thresholds, classes=classes
-        )
-    except ValueError as exc:
-        print(f"perfcheck: {exc}", file=sys.stderr)
-        return 2
+    regressions = perf.compare(baseline, current)
     print(perf.format_report(
-        baseline, current, regressions, classes,
-        skipped_lines=len(skipped),
+        baseline, current, regressions, skipped_lines=len(skipped),
     ))
     return 1 if regressions else 0
-
-
-def _profile_record_metrics(doc, phases) -> dict:
-    """Flat ``profile_*`` metrics for a ``<exp>:profile`` history record.
-
-    One ``profile_<path>_self_s`` metric per phase (path sanitized to a
-    metric-name-safe token) plus ``profile_wall_s`` — the shape
-    :func:`repro.obs.perf.blame_lines` reads back to name the phase
-    that moved most under a wall-time regression.
-    """
-    import re
-
-    metrics = {"profile_wall_s": float(doc["wall_s"])}
-    for path, node in phases.walk():
-        if len(path) == 1:  # the root is profile_wall_s already
-            continue
-        key = "_".join(
-            re.sub(r"[^0-9A-Za-z]+", "_", p).strip("_") for p in path[1:]
-        )
-        metrics[f"profile_{key}_self_s"] = round(node.self_s, 9)
-    return metrics
 
 
 def _cmd_profile(args) -> int:
@@ -1257,8 +1138,6 @@ def _cmd_profile(args) -> int:
               "exclusive", file=sys.stderr)
         return 2
 
-    base_id = None  # history key stem for --record
-    nm = (None, None)
     if args.from_run is not None:
         from .obs import runlog
 
@@ -1356,7 +1235,6 @@ def _cmd_profile(args) -> int:
             config=config, backend=backend,
         )
         base_id = f"{args.geometry}-n{n}-m{args.m}"
-        nm = (n, args.m)
 
     body = (
         json.dumps(doc, indent=2, sort_keys=True) if args.json
@@ -1372,24 +1250,15 @@ def _cmd_profile(args) -> int:
     if args.flame_out:
         from .viz import svg_flamegraph
 
-        title = f"repro profile: {base_id}" if base_id else "repro profile"
-        _write_text(args.flame_out, svg_flamegraph(doc["phases"], title=title))
+        _write_text(args.flame_out, svg_flamegraph(
+            doc["phases"], title=f"repro profile: {base_id}"
+        ))
         print(f"profile: wrote flamegraph to {args.flame_out}")
     if args.folded_out:
         folded = prof.to_folded(phases)
         _write_text(args.folded_out, "\n".join(folded) + "\n")
         print(f"profile: wrote {len(folded)} folded stack(s) to "
               f"{args.folded_out}")
-    if args.record:
-        from .obs import perf
-
-        rec = perf.make_record(
-            (base_id or "config") + perf.PROFILE_SUFFIX,
-            _profile_record_metrics(doc, phases),
-            title="phase profile", n=nm[0], m=nm[1],
-        )
-        perf.append_history(args.record, rec)
-        print(f"profile: appended {rec['exp_id']} record to {args.record}")
     return 0 if ok else 1
 
 
@@ -1487,8 +1356,6 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_dashboard(args) -> int:
-    from pathlib import Path
-
     from .obs.dashboard import build_dashboard
 
     sizes = None
@@ -1499,20 +1366,17 @@ def _cmd_dashboard(args) -> int:
             print(f"dashboard: bad --sizes {args.sizes!r} (want e.g. 6,9,12)",
                   file=sys.stderr)
             return 2
-    history = args.history if Path(args.history).exists() else None
     from .obs import runlog as _runlog
 
     runs_dir = _runlog.runlog_dir(args.runs)
     html = build_dashboard(
         n=args.n, m=args.m, geometry=args.geometry, policy=args.policy,
-        seed=args.seed, sizes=sizes, history_path=history,
+        seed=args.seed, sizes=sizes,
         runlog_dir=str(runs_dir) if runs_dir.is_dir() else None,
         regimes=args.regimes,
     )
     _write_text(args.out, html)
-    print(f"dashboard: {args.out} ({len(html):,} bytes"
-          + (f", history from {history}" if history else ", no history")
-          + ")")
+    print(f"dashboard: {args.out} ({len(html):,} bytes)")
     return 0
 
 

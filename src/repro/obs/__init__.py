@@ -17,8 +17,9 @@ Three instruments, one package:
   measured Fig. 21 I/O demand curve are derived.
 
 * :mod:`repro.obs.perf` — the **benchmark history store** (JSONL +
-  ``BENCH_PERF.json`` trajectory roll-up) and the **regression
-  detector** behind ``python -m repro perfcheck``.
+  ``BENCH_PERF.json`` trajectory roll-up) and the **regression gate**
+  on the paper's deterministic measures behind
+  ``python -m repro perfcheck``.
 * :mod:`repro.obs.runlog` — the **run ledger**: every entry point opens
   a run context with a deterministic run ID and appends typed JSONL
   events (stages, lint, plan cache, backend, faults, checkpoints,
@@ -29,8 +30,8 @@ Three instruments, one package:
 * :mod:`repro.obs.profile` — the **hierarchical profiler**: phase trees
   from tracer spans or ledger stage events, per-``(depth, opcode)``
   kernel timings behind a probe-style zero-overhead seam, critical-path
-  makespan attribution, folded-stack/flamegraph export, and the
-  perfcheck "blame" inputs (``python -m repro profile``).
+  makespan attribution and folded-stack/flamegraph export
+  (``python -m repro profile``).
 
 CLI: ``python -m repro trace --n 12 --m 4 --trace-out t.json``,
 ``python -m repro stats --n 12 --m 4``, ``python -m repro perfcheck``,

@@ -19,8 +19,8 @@ Sections:
 * **measured vs. closed-form curves** across problem size ``n``
   (throughput and utilization, Sec. 4.2) and the measured **Fig. 21
   I/O-demand curve** against the ``m/n`` host-rate bound;
-* the **perf trajectory** from the benchmark history store
-  (:mod:`repro.obs.perf`), one small multiple per experiment.
+* the **failure regimes** panel (``--regimes``) and the **run ledger**
+  panel of recent runs (:mod:`repro.obs.runlog`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from html import escape
 from typing import Any, Hashable, Mapping, Sequence
 
 from ..viz.svg import svg_heatmap, svg_lanes, svg_line_chart
-from .perf import load_history
 from .probe import RecordingProbe
 from .report import io_demand_curve, occupancy_timeline
 from .runlog import list_runs
@@ -432,62 +431,6 @@ def _sweep_sections(rows: Sequence[Mapping[str, Any]]) -> list[str]:
     ]
 
 
-def _trajectory_sections(history: Sequence[Mapping], max_exps: int = 8) -> list[str]:
-    if not history:
-        return []
-    by_exp: dict[str, list[Mapping]] = {}
-    for rec in history:
-        by_exp.setdefault(rec["exp_id"], []).append(rec)
-    exp_ids = sorted(by_exp)
-    shown = exp_ids[:max_exps]
-    charts = []
-    for exp_id in shown:
-        runs = by_exp[exp_id]
-        pts = [
-            (float(i + 1), float(rec["metrics"]["wall_time_s"]))
-            for i, rec in enumerate(runs)
-            if "wall_time_s" in rec.get("metrics", {})
-        ]
-        if not pts:
-            continue
-        charts.append(
-            svg_line_chart(
-                [("wall time (s)", pts)],
-                title=f"{exp_id} - wall time across runs",
-                x_label="run", y_label="seconds",
-                width=320, height=190,
-            )
-        )
-    note = (
-        f'<p class="note">showing {len(shown)} of {len(exp_ids)} '
-        f"experiments; omitted: {', '.join(exp_ids[max_exps:])}</p>"
-        if len(exp_ids) > len(shown) else ""
-    )
-    # Dimensions may be null on older records (pre-inference benchmarks
-    # never stamped them); render "-" rather than "None".
-    table_rows = [
-        {
-            "exp_id": exp_id,
-            "runs": len(by_exp[exp_id]),
-            "last_n": n if _numeric(n := by_exp[exp_id][-1].get("n")) else "-",
-            "last_m": m if _numeric(m := by_exp[exp_id][-1].get("m")) else "-",
-            "last_commit": by_exp[exp_id][-1].get("commit") or "-",
-            "last_wall_time_s": by_exp[exp_id][-1]
-            .get("metrics", {})
-            .get("wall_time_s", "-"),
-        }
-        for exp_id in exp_ids
-    ]
-    return [
-        '<div class="card"><div class="row">'
-        + "".join(charts)
-        + "</div>"
-        + note
-        + _details_table("history summary", table_rows)
-        + "</div>"
-    ]
-
-
 def collect_regimes(
     seed: int = 0,
     configs: Sequence[str] = ("linear-n12-m4", "mesh-n8-m4"),
@@ -631,7 +574,6 @@ def _runlog_sections(summaries: Sequence[Mapping[str, Any]]) -> list[str]:
 def render_dashboard(
     run: dict | None = None,
     sweep_rows: Sequence[Mapping[str, Any]] | None = None,
-    history: Sequence[Mapping] | None = None,
     title: str = "repro - performance dashboard",
     runlog_summaries: Sequence[Mapping[str, Any]] | None = None,
     regime_summary: Mapping[str, Any] | None = None,
@@ -653,9 +595,6 @@ def render_dashboard(
     if sweep_rows:
         body.append("<h2>Measured vs. closed forms (Sec. 4.2)</h2>")
         body.extend(_sweep_sections(sweep_rows))
-    if history:
-        body.append("<h2>Benchmark history (perf trajectory)</h2>")
-        body.extend(_trajectory_sections(history))
     if regime_summary:
         body.append("<h2>Failure regimes (resilience under fire)</h2>")
         body.extend(_regime_sections(regime_summary))
@@ -663,7 +602,7 @@ def render_dashboard(
         body.append("<h2>Run ledger (recent runs)</h2>")
         body.extend(_runlog_sections(runlog_summaries))
     if (
-        run is None and not sweep_rows and not history
+        run is None and not sweep_rows
         and not runlog_summaries and not regime_summary
     ):
         body.append('<p class="sub">(nothing to show)</p>')
@@ -682,11 +621,10 @@ def build_dashboard(
     policy: str = "vertical",
     seed: int = 0,
     sizes: Sequence[int] | None = None,
-    history_path: str | None = None,
     runlog_dir: str | None = None,
     regimes: bool = False,
 ) -> str:
-    """Run the pipeline, sweep sizes, load history, render — one call.
+    """Run the pipeline, sweep sizes, read ledgers, render — one call.
 
     ``regimes=True`` additionally runs the compact failure-regime
     campaign (:func:`collect_regimes`) and renders the Failure regimes
@@ -696,10 +634,9 @@ def build_dashboard(
     if sizes is None:
         sizes = sorted({max(4, n - 3), n, n + 3})
     sweep = sweep_closed_forms(sizes, m, geometry=geometry, policy=policy)
-    history = load_history(history_path) if history_path else []
     summaries = list_runs(runlog_dir) if runlog_dir else []
     regime_summary = collect_regimes(seed=seed) if regimes else None
     return render_dashboard(
-        run, sweep, history, runlog_summaries=summaries,
+        run, sweep, runlog_summaries=summaries,
         regime_summary=regime_summary,
     )

@@ -1,4 +1,4 @@
-"""Benchmark history store and performance-regression detection.
+"""Benchmark history store and the deterministic-measure regression gate.
 
 The registry/probe layer (:mod:`repro.obs.metrics`, :mod:`repro.obs.probe`)
 measures one run; this module makes those measurements *persist* and
@@ -9,12 +9,14 @@ measures one run; this module makes those measurements *persist* and
   experiment id, git commit, and problem size), and the latest runs are
   rolled up into a repo-root ``BENCH_PERF.json`` trajectory file so the
   perf history travels with the repository;
-* **regression detector** — :func:`compare` diffs two sets of records
-  with per-*metric-class* relative thresholds (wall time is noisy;
-  simulated cycles, memory traffic and host bandwidth are deterministic
-  and must not move), returning structured :class:`Regression` objects;
-  ``python -m repro perfcheck`` wraps it with a non-zero exit code for
-  CI gating.
+* **regression gate** — :func:`compare` diffs two sets of records on
+  the paper's closed-form measures only (simulated cycles, memory
+  traffic, host bandwidth; Sec. 4.2, Fig. 21), which are deterministic
+  for a given design and so budgeted ~0.  Every other metric — wall
+  clock above all — is stored but never gated; timing verdicts belong
+  to the end-to-end benchmark (``benchmarks/e2e/run.py compare``).
+  ``python -m repro perfcheck`` wraps :func:`compare` with a non-zero
+  exit code for CI gating.
 
 Everything here is stdlib-only and file-format-first: records are plain
 dicts, stores are JSONL/JSON files, and loaders sniff the three shapes
@@ -50,9 +52,6 @@ __all__ = [
     "make_baseline",
     "compare",
     "find_new_metrics",
-    "PROFILE_SUFFIX",
-    "profile_metrics_for",
-    "blame_lines",
     "format_report",
 ]
 
@@ -67,40 +66,39 @@ SCHEMA_VERSION = 1
 #: How many runs per experiment the ``BENCH_PERF.json`` roll-up keeps.
 TRAJECTORY_KEEP = 50
 
-#: Metric classes, in reporting order.  Every perf metric is classified
-#: by name into exactly one of these; each class carries its own
-#: regression threshold because their noise profiles differ wildly.
-METRIC_CLASSES = (
-    "wall_time", "sim_cycles", "memory_traffic", "host_bandwidth", "other",
-)
+#: Gated metric classes, in reporting order.  Each is one of the
+#: paper's closed-form measures, exact for a given design; every metric
+#: is classified by name into one of them or left ungated.
+METRIC_CLASSES = ("sim_cycles", "memory_traffic", "host_bandwidth")
 
 #: Relative regression thresholds per metric class: ``current`` regresses
-#: when ``current > baseline * (1 + threshold)``.  Wall time jitters with
-#: the machine; the simulated measures are exact and budgeted ~0.
+#: when ``current > baseline * (1 + threshold)``.
 DEFAULT_THRESHOLDS: dict[str, float] = {
-    "wall_time": 0.50,
     "sim_cycles": 0.001,
     "memory_traffic": 0.001,
     "host_bandwidth": 0.01,
-    "other": 0.10,
 }
 
 _CLASS_PATTERNS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("wall_time", ("wall", "_time_s", "duration", "_ms", "elapsed",
-                   "_self_s", "profile_")),
     ("sim_cycles", ("cycle", "makespan", "total_time", "stall")),
     ("memory_traffic", ("memory", "words", "reads", "traffic", "r_memory")),
     ("host_bandwidth", ("bandwidth", "d_io", "hostbw", "_io", "io_")),
 )
 
 
-def classify_metric(name: str) -> str:
-    """Map a metric name onto one of :data:`METRIC_CLASSES` by substring."""
+def classify_metric(name: str) -> str | None:
+    """The gated class of a metric name by substring, or ``None``.
+
+    A name in seconds (``_s``/``_ms`` suffix) is a wall-clock reading
+    and stays ungated whatever else it contains.
+    """
     low = name.lower()
+    if low.endswith(("_s", "_ms")):
+        return None
     for cls, needles in _CLASS_PATTERNS:
         if any(n in low for n in needles):
             return cls
-    return "other"
+    return None
 
 
 def current_commit(repo_dir: str | Path | None = None) -> str | None:
@@ -337,153 +335,80 @@ class Regression:
 def compare(
     baseline: Mapping[str, Mapping],
     current: Mapping[str, Mapping],
-    thresholds: Mapping[str, float] | None = None,
-    classes: Sequence[str] | None = None,
 ) -> list[Regression]:
     """Diff two ``{exp_id: record}`` maps; return threshold breaches.
 
-    Only metrics present on *both* sides of an experiment are compared
-    (every perf metric here is higher-is-worse).  ``thresholds``
-    overrides :data:`DEFAULT_THRESHOLDS` per class; ``classes`` restricts
-    the comparison (e.g. CI skips the machine-dependent ``wall_time``).
+    Only gated metrics present on *both* sides of an experiment are
+    compared (every one is higher-is-worse), each at its class's
+    :data:`DEFAULT_THRESHOLDS` limit.
     """
-    limits = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        unknown = set(thresholds) - set(METRIC_CLASSES)
-        if unknown:
-            raise ValueError(
-                f"unknown metric class(es) {sorted(unknown)}; "
-                f"expected one of {METRIC_CLASSES}"
-            )
-        limits.update(thresholds)
-    if classes is not None:
-        unknown = set(classes) - set(METRIC_CLASSES)
-        if unknown:
-            raise ValueError(
-                f"unknown metric class(es) {sorted(unknown)}; "
-                f"expected one of {METRIC_CLASSES}"
-            )
     regressions: list[Regression] = []
+    for exp_id, name, cls in _gated_pairs(baseline, current):
+        b = float(baseline[exp_id]["metrics"][name])
+        c = float(current[exp_id]["metrics"][name])
+        limit = DEFAULT_THRESHOLDS[cls]
+        if c > b * (1.0 + limit) + 1e-12:
+            regressions.append(
+                Regression(
+                    exp_id=exp_id, metric=name, metric_class=cls,
+                    baseline=b, current=c, threshold=limit,
+                )
+            )
+    return regressions
+
+
+def _gated_pairs(
+    baseline: Mapping[str, Mapping],
+    current: Mapping[str, Mapping],
+) -> list[tuple[str, str, str]]:
+    """``(exp_id, metric, class)`` for every gated metric on both sides."""
+    pairs: list[tuple[str, str, str]] = []
     for exp_id in sorted(set(baseline) & set(current)):
         base_m = baseline[exp_id].get("metrics", {})
         cur_m = current[exp_id].get("metrics", {})
         for name in sorted(set(base_m) & set(cur_m)):
             cls = classify_metric(name)
-            if classes is not None and cls not in classes:
-                continue
-            b, c = float(base_m[name]), float(cur_m[name])
-            if c > b * (1.0 + limits[cls]) + 1e-12:
-                regressions.append(
-                    Regression(
-                        exp_id=exp_id, metric=name, metric_class=cls,
-                        baseline=b, current=c, threshold=limits[cls],
-                    )
-                )
-    return regressions
+            if cls is not None:
+                pairs.append((exp_id, name, cls))
+    return pairs
 
 
 def find_new_metrics(
     baseline: Mapping[str, Mapping],
     current: Mapping[str, Mapping],
 ) -> list[tuple[str, str, str]]:
-    """Current-only metrics on shared experiments, as explicit findings.
+    """Current-only gated metrics on shared experiments, as findings.
 
-    A metric present in ``current`` but absent from the baseline is not
-    a regression (there is nothing to compare against) but it must not
-    vanish silently either — it is exactly the state a freshly added
-    benchmark metric is in until the baseline is regenerated.  Returns
-    ``(exp_id, metric, metric_class)`` triples; :func:`format_report`
-    renders them and the CLI keeps them non-gating.
+    A gated metric present in ``current`` but absent from the baseline
+    is not a regression (there is nothing to compare against) but it
+    must not vanish silently either — it is exactly the state a freshly
+    added benchmark metric is in until the baseline is regenerated.
+    Returns ``(exp_id, metric, metric_class)`` triples;
+    :func:`format_report` renders them and the CLI keeps them
+    non-gating.
     """
     findings: list[tuple[str, str, str]] = []
     for exp_id in sorted(set(baseline) & set(current)):
         base_m = baseline[exp_id].get("metrics", {})
         cur_m = current[exp_id].get("metrics", {})
         for name in sorted(set(cur_m) - set(base_m)):
-            findings.append((exp_id, name, classify_metric(name)))
+            cls = classify_metric(name)
+            if cls is not None:
+                findings.append((exp_id, name, cls))
     return findings
-
-
-#: Key suffix under which ``repro profile --record`` files its
-#: companion record for an experiment: ``<exp_id>:profile``.  A separate
-#: key keeps the ``profile_*`` phase metrics from shadowing the bench
-#: record in :func:`latest_by_exp`.
-PROFILE_SUFFIX = ":profile"
-
-
-def profile_metrics_for(
-    records: Mapping[str, Mapping], exp_id: str
-) -> dict[str, float]:
-    """``profile_*`` metrics visible for an experiment.
-
-    Looks at the experiment's own record and its ``<exp_id>:profile``
-    companion (written by ``repro profile --record``).
-    """
-    out: dict[str, float] = {}
-    for key in (exp_id, exp_id + PROFILE_SUFFIX):
-        rec = records.get(key)
-        if rec:
-            for name, v in rec.get("metrics", {}).items():
-                if name.startswith("profile_"):
-                    out[name] = float(v)
-    return out
-
-
-def blame_lines(
-    baseline: Mapping[str, Mapping],
-    current: Mapping[str, Mapping],
-    regressions: Sequence[Regression],
-) -> list[str]:
-    """Attribute each wall_time regression to the phase that moved most.
-
-    For every regressed wall_time metric, the per-phase self-time
-    metrics recorded by ``repro profile --record`` are diffed on both
-    sides and the phase with the largest absolute increase is named —
-    turning "wall_time +23%" into "the simulate phase grew".  One blame
-    line per experiment; a hint line when no profile record exists.
-    """
-    lines: list[str] = []
-    seen: set[str] = set()
-    for r in regressions:
-        if r.metric_class != "wall_time" or r.exp_id.endswith(PROFILE_SUFFIX):
-            continue
-        if r.exp_id in seen:
-            continue
-        seen.add(r.exp_id)
-        base_p = profile_metrics_for(baseline, r.exp_id)
-        cur_p = profile_metrics_for(current, r.exp_id)
-        shared = sorted(
-            (set(base_p) & set(cur_p)) - {"profile_wall_s"}
-        )
-        if not shared:
-            lines.append(
-                f"BLAME {r.exp_id}: no profile record to attribute the "
-                f"wall_time regression (record one with "
-                f"`repro profile --record` on both sides)"
-            )
-            continue
-        name = max(shared, key=lambda k: cur_p[k] - base_p[k])
-        delta = cur_p[name] - base_p[name]
-        phase = name.removeprefix("profile_").removesuffix("_self_s")
-        lines.append(
-            f"BLAME {r.exp_id}.{r.metric}: phase '{phase}' moved most "
-            f"({base_p[name]:.6g}s -> {cur_p[name]:.6g}s, {delta:+.6g}s)"
-        )
-    return lines
 
 
 def format_report(
     baseline: Mapping[str, Mapping],
     current: Mapping[str, Mapping],
     regressions: Sequence[Regression],
-    classes: Sequence[str] | None = None,
     skipped_lines: int = 0,
 ) -> str:
     """Human-readable perfcheck summary (what the CLI prints)."""
     shared = sorted(set(baseline) & set(current))
     lines = [
-        f"perfcheck: {len(shared)} experiment(s) compared"
-        + (f" [classes: {', '.join(classes)}]" if classes else ""),
+        f"perfcheck: {len(shared)} experiment(s) compared "
+        f"[gated classes: {', '.join(METRIC_CLASSES)}]",
     ]
     run_ids = sorted(
         {
@@ -496,13 +421,12 @@ def format_report(
         lines.append(
             "current records from run ledger(s): " + ", ".join(run_ids)
         )
+    gated = _gated_pairs(baseline, current)
     for exp_id in shared:
-        base_m = baseline[exp_id].get("metrics", {})
-        cur_m = current[exp_id].get("metrics", {})
-        n_shared = len(set(base_m) & set(cur_m))
+        n_gated = sum(1 for e, _, _ in gated if e == exp_id)
         bad = [r for r in regressions if r.exp_id == exp_id]
         status = "FAIL" if bad else "ok"
-        lines.append(f"  {exp_id:>8}: {n_shared} metric(s) {status}")
+        lines.append(f"  {exp_id:>8}: {n_gated} gated metric(s) {status}")
     only_base = sorted(set(baseline) - set(current))
     only_cur = sorted(set(current) - set(baseline))
     if only_base:
@@ -520,7 +444,6 @@ def format_report(
         )
     for r in regressions:
         lines.append(str(r))
-    lines.extend(blame_lines(baseline, current, regressions))
     lines.append(
         "perfcheck: FAIL" if regressions else "perfcheck: no regressions"
     )

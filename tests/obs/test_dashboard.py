@@ -9,7 +9,6 @@ import pytest
 
 from repro.arrays.cycle_sim import cell_fire_counts
 from repro.cli import main
-from repro.obs import perf
 from repro.obs.dashboard import (
     activity_class,
     build_dashboard,
@@ -119,31 +118,10 @@ class TestSelfContained:
 
 
 class TestNullDimensionHistory:
-    """Mixed null/non-null dimensions must not crash any panel.
+    """Sweep rows with null dimensions must not crash the sweep panel.
 
-    Older history records (pre-inference benchmarks, A-ALN and friends)
-    carry ``"n": null`` — the trajectory table renders "-" for them and
-    the sweep charts skip them rather than plotting a None coordinate.
+    The sweep charts skip them rather than plotting a None coordinate.
     """
-
-    @staticmethod
-    def mixed_history() -> list[dict]:
-        return [
-            perf.make_record("A-ALN", {"wall_time_s": 0.5},
-                             ts=1000.0, commit="abc1234"),  # n/m null
-            perf.make_record("F18", {"wall_time_s": 0.8}, n=12, m=4,
-                             ts=1001.0, commit="abc1234"),
-        ]
-
-    def test_mixed_history_renders_null_dims_as_dash(self):
-        html = render_dashboard(history=self.mixed_history())
-        assert "A-ALN" in html and "F18" in html
-        assert "None" not in html
-        assert ">-<" in html  # the null-dim cells
-
-    def test_non_null_dims_still_shown(self):
-        html = render_dashboard(history=self.mixed_history())
-        assert ">12<" in html  # F18's last_n survives the filter
 
     @staticmethod
     def sweep_row(n):
@@ -177,27 +155,10 @@ class TestDashboardCLI:
     def test_writes_single_html_file(self, tmp_path, capsys):
         out = tmp_path / "dash.html"
         rc = main(["dashboard", "--out", str(out), "--n", "6", "--m", "3",
-                   "--sizes", "6", "--history", str(tmp_path / "none.jsonl")])
+                   "--sizes", "6"])
         assert rc == 0
-        assert "no history" in capsys.readouterr().out
+        assert str(out) in capsys.readouterr().out
         assert out.exists() and out.read_text().startswith("<!DOCTYPE html>")
-
-    def test_history_section_appears_when_history_exists(
-        self, tmp_path, capsys
-    ):
-        hist = tmp_path / "history.jsonl"
-        for wall in (1.0, 1.1):
-            perf.append_history(
-                hist,
-                perf.make_record("F18", {"wall_time_s": wall},
-                                 ts=1000.0 + wall, commit="abc1234"),
-            )
-        out = tmp_path / "dash.html"
-        rc = main(["dashboard", "--out", str(out), "--n", "6", "--m", "3",
-                   "--sizes", "6", "--history", str(hist)])
-        assert rc == 0
-        assert str(hist) in capsys.readouterr().out
-        assert "Benchmark history" in out.read_text()
 
     def test_bad_sizes_rejected(self, tmp_path):
         assert main(["dashboard", "--out", str(tmp_path / "d.html"),

@@ -1,4 +1,8 @@
-"""Benchmark history store + regression gate (:mod:`repro.obs.perf`)."""
+"""Benchmark history store + regression gate (:mod:`repro.obs.perf`).
+
+The gate reads only the paper's deterministic measures; wall-clock
+metrics in old histories load and are ignored.
+"""
 
 from __future__ import annotations
 
@@ -20,18 +24,29 @@ class TestClassification:
     @pytest.mark.parametrize(
         "name,cls",
         [
-            ("wall_time_s", "wall_time"),
-            ("oracle_vectorized_ms", "wall_time"),
             ("chained_makespan_cycles", "sim_cycles"),
             ("stall_cycles_total", "sim_cycles"),
             ("input_words_total", "memory_traffic"),
             ("max_r_memory_words", "memory_traffic"),
             ("max_avg_d_io", "host_bandwidth"),
-            ("utilization", "other"),
         ],
     )
     def test_classify(self, name, cls):
         assert perf.classify_metric(name) == cls
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "wall_time_s",
+            "oracle_vectorized_ms",
+            "repro_benchmark_table_bytes",
+            "utilization",
+            # A seconds unit wins over a gated substring.
+            "profile_io_census_self_s",
+        ],
+    )
+    def test_ungated(self, name):
+        assert perf.classify_metric(name) is None
 
     def test_every_class_has_a_threshold(self):
         assert set(perf.DEFAULT_THRESHOLDS) == set(perf.METRIC_CLASSES)
@@ -105,15 +120,11 @@ class TestCompare:
     def test_identical_records_pass(self):
         assert perf.compare(self.base(), self.base()) == []
 
-    def test_doubled_wall_time_is_a_regression(self):
+    def test_doubled_wall_time_is_ungated(self):
         cur = perf.latest_by_exp(
             [record("F18", {"wall_time_s": 2.0, "stall_cycles_total": 10})]
         )
-        regs = perf.compare(self.base(), cur)
-        assert [r.metric for r in regs] == ["wall_time_s"]
-        assert regs[0].metric_class == "wall_time"
-        assert regs[0].ratio == pytest.approx(2.0)
-        assert "REGRESSION F18.wall_time_s" in str(regs[0])
+        assert perf.compare(self.base(), cur) == []
 
     def test_wall_time_noise_within_threshold_passes(self):
         cur = perf.latest_by_exp(
@@ -127,27 +138,19 @@ class TestCompare:
         )
         regs = perf.compare(self.base(), cur)
         assert [r.metric for r in regs] == ["stall_cycles_total"]
+        assert regs[0].metric_class == "sim_cycles"
+        assert regs[0].ratio == pytest.approx(1.1)
+        assert "REGRESSION F18.stall_cycles_total" in str(regs[0])
 
-    def test_classes_filter_skips_wall_time(self):
-        cur = perf.latest_by_exp(
-            [record("F18", {"wall_time_s": 9.0, "stall_cycles_total": 10})]
-        )
-        assert perf.compare(self.base(), cur, classes=["sim_cycles"]) == []
-
-    def test_threshold_override(self):
-        cur = perf.latest_by_exp(
-            [record("F18", {"wall_time_s": 1.2, "stall_cycles_total": 10})]
-        )
-        regs = perf.compare(
-            self.base(), cur, thresholds={"wall_time": 0.1}
-        )
-        assert [r.metric for r in regs] == ["wall_time_s"]
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric class"):
-            perf.compare({}, {}, thresholds={"warp_speed": 0.1})
-        with pytest.raises(ValueError, match="unknown metric class"):
-            perf.compare({}, {}, classes=["warp_speed"])
+    def test_profile_companion_records_are_ungated(self):
+        """Old ``<exp>:profile`` phase records never gate."""
+        baseline = {"F18:profile": record("F18:profile", {
+            "profile_wall_s": 1.0, "profile_sim_compile_self_s": 0.2,
+        })}
+        current = {"F18:profile": record("F18:profile", {
+            "profile_wall_s": 2.0, "profile_sim_compile_self_s": 1.1,
+        })}
+        assert perf.compare(baseline, current) == []
 
     def test_disjoint_experiments_and_metrics_skipped(self):
         cur = perf.latest_by_exp(
@@ -167,13 +170,13 @@ class TestCompare:
 class TestPerfcheckCLI:
     """Acceptance: the regression gate as wired into ``repro perfcheck``."""
 
-    def write_artifacts(self, tmp_path, factor=1.0):
+    def write_artifacts(self, tmp_path, factor=1.0, stalls=10):
         base_rec = record(
             "F18", {"wall_time_s": 1.0, "stall_cycles_total": 10}
         )
         cur_rec = record(
             "F18",
-            {"wall_time_s": 1.0 * factor, "stall_cycles_total": 10},
+            {"wall_time_s": 1.0 * factor, "stall_cycles_total": stalls},
         )
         base = tmp_path / "baseline.json"
         base.write_text(json.dumps(perf.make_baseline([base_rec])))
@@ -188,23 +191,25 @@ class TestPerfcheckCLI:
         assert rc == 0
         assert "no regressions" in capsys.readouterr().out
 
-    def test_doubled_wall_time_exits_nonzero_and_names_metric(
+    def test_bumped_stall_cycles_exits_one_and_names_metric(
         self, tmp_path, capsys
     ):
-        base, cur = self.write_artifacts(tmp_path, factor=2.0)
+        base, cur = self.write_artifacts(tmp_path, stalls=11)
         rc = main(["perfcheck", "--baseline", str(base),
                    "--current", str(cur)])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "REGRESSION F18.wall_time_s" in out
+        assert "REGRESSION F18.stall_cycles_total [sim_cycles]" in out
         assert "perfcheck: FAIL" in out
 
-    def test_classes_flag_ignores_wall_time(self, tmp_path):
+    def test_doubled_wall_time_exits_zero(self, tmp_path, capsys):
         base, cur = self.write_artifacts(tmp_path, factor=2.0)
         rc = main(["perfcheck", "--baseline", str(base),
-                   "--current", str(cur),
-                   "--classes", "sim_cycles,memory_traffic,host_bandwidth"])
+                   "--current", str(cur)])
         assert rc == 0
+        out = capsys.readouterr().out
+        assert "F18: 1 gated metric(s) ok" in out
+        assert "wall_time_s" not in out
 
     def test_update_baseline_writes_current_latest(self, tmp_path, capsys):
         base, cur = self.write_artifacts(tmp_path, factor=2.0)
@@ -225,12 +230,13 @@ class TestPerfcheckCLI:
                      "--current", str(cur)]) == 2
         assert main(["perfcheck", "--baseline", str(base),
                      "--current", missing]) == 2
-        assert main(["perfcheck", "--baseline", str(base),
-                     "--current", str(cur),
-                     "--threshold", "wall_time=fast"]) == 2
-        assert main(["perfcheck", "--baseline", str(base),
-                     "--current", str(cur),
-                     "--classes", "warp_speed"]) == 2
+        # The class filter and threshold overrides are gone.
+        for flag in (["--classes", "sim_cycles"],
+                     ["--threshold", "sim_cycles=0.5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["perfcheck", "--baseline", str(base),
+                      "--current", str(cur), *flag])
+            assert exc.value.code == 2
 
 
 class TestCorruptHistory:
@@ -306,15 +312,18 @@ class TestNewMetricFindings:
         baseline = {"F18": record("F18", {"stall_cycles_total": 0})}
         current = {
             "F18": record(
-                "F18", {"stall_cycles_total": 0, "wall_vector_s": 0.01}
+                "F18",
+                {"stall_cycles_total": 0, "max_r_memory_words": 4,
+                 "wall_vector_s": 0.01},
             )
         }
         return baseline, current
 
     def test_find_new_metrics_classifies(self):
         baseline, current = self.make_maps()
+        # Only gated metrics are findings; a new wall time is not.
         assert perf.find_new_metrics(baseline, current) == [
-            ("F18", "wall_vector_s", "wall_time")
+            ("F18", "max_r_memory_words", "memory_traffic")
         ]
 
     def test_new_metric_is_reported_but_not_gating(self, tmp_path, capsys):
@@ -327,7 +336,8 @@ class TestNewMetricFindings:
                    "--current", str(cur)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "NEW METRIC F18.wall_vector_s [wall_time]" in out
+        assert "NEW METRIC F18.max_r_memory_words [memory_traffic]" in out
+        assert "wall_vector_s" not in out
         assert "no regressions" in out
 
 
@@ -357,81 +367,3 @@ class TestRunIdStamping:
         # No ledger -> no dangling header line.
         text = perf.format_report(base, base, [])
         assert "run ledger" not in text
-
-
-class TestBlame:
-    """Wall-time regressions are attributed to the phase that moved most."""
-
-    def maps(self, compile_cur=1.1):
-        baseline = {
-            "F18": record("F18", {"wall_time_s": 1.0}),
-            "F18:profile": record("F18:profile", {
-                "profile_wall_s": 1.0,
-                "profile_sim_compile_self_s": 0.2,
-                "profile_plan_partitioned_self_s": 0.1,
-            }),
-        }
-        current = {
-            "F18": record("F18", {"wall_time_s": 2.0}),
-            "F18:profile": record("F18:profile", {
-                "profile_wall_s": 2.0,
-                "profile_sim_compile_self_s": compile_cur,
-                "profile_plan_partitioned_self_s": 0.12,
-            }),
-        }
-        return baseline, current
-
-    def test_profile_metrics_classified_wall_time(self):
-        assert perf.classify_metric("profile_sim_compile_self_s") == "wall_time"
-        assert perf.classify_metric("profile_wall_s") == "wall_time"
-
-    def test_profile_metrics_for_merges_companion_record(self):
-        baseline, _ = self.maps()
-        metrics = perf.profile_metrics_for(baseline, "F18")
-        assert metrics == {
-            "profile_wall_s": 1.0,
-            "profile_sim_compile_self_s": 0.2,
-            "profile_plan_partitioned_self_s": 0.1,
-        }
-        assert perf.profile_metrics_for(baseline, "NOPE") == {}
-
-    def test_blame_names_biggest_mover(self):
-        baseline, current = self.maps()
-        regs = perf.compare(baseline, current, classes=["wall_time"])
-        lines = perf.blame_lines(baseline, current, regs)
-        blames = [ln for ln in lines if ln.startswith("BLAME F18.")]
-        assert len(blames) == 1
-        assert "phase 'sim_compile' moved most" in blames[0]
-        assert "0.2s -> 1.1s" in blames[0]
-
-    def test_blame_hint_without_profile_record(self):
-        baseline = {"F18": record("F18", {"wall_time_s": 1.0})}
-        current = {"F18": record("F18", {"wall_time_s": 2.0})}
-        regs = perf.compare(baseline, current, classes=["wall_time"])
-        lines = perf.blame_lines(baseline, current, regs)
-        assert len(lines) == 1
-        assert "no profile record" in lines[0]
-        assert "repro profile --record" in lines[0]
-
-    def test_blame_skips_non_wall_time_regressions(self):
-        baseline = {"F18": record("F18", {"stall_cycles_total": 0.0})}
-        current = {"F18": record("F18", {"stall_cycles_total": 5.0})}
-        regs = perf.compare(baseline, current)
-        assert regs  # sim_cycles regression exists...
-        assert perf.blame_lines(baseline, current, regs) == []
-
-    def test_format_report_includes_blame(self):
-        baseline, current = self.maps()
-        regs = perf.compare(baseline, current, classes=["wall_time"])
-        text = perf.format_report(baseline, current, regs, ["wall_time"])
-        assert "BLAME F18.wall_time_s" in text
-        assert "FAIL" in text
-
-    def test_deterministic_classes_ignore_profile_records(self):
-        """The CI gate's classes never gate on profile companions."""
-        baseline, current = self.maps()
-        regs = perf.compare(
-            baseline, current,
-            classes=["sim_cycles", "memory_traffic", "host_bandwidth"],
-        )
-        assert regs == []

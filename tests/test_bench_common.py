@@ -77,8 +77,7 @@ class TestSaveTableStampsDims:
 
     def test_mixed_history_rolls_up(self, common) -> None:
         # One null-dim record and one stamped record coexist in the same
-        # history; the trajectory roll-up and the dashboard must take
-        # both (the dashboard side is covered in tests/obs).
+        # history; the trajectory roll-up must take both.
         common.save_table("T-NULL", "legacy", "body", rows=[{"k": 1}])
         common.save_table("T-DIM", "stamped", "body", rows=[{"n": 12, "m": 4}])
         recs = [json.loads(line)
@@ -96,11 +95,3 @@ class TestWallTime:
         recs = [json.loads(line)
                 for line in common.HISTORY_PATH.read_text().splitlines()]
         assert all("wall_time_s" not in r["metrics"] for r in recs)
-
-    def test_dashboard_renders_records_without_wall_time(self, common) -> None:
-        from repro.obs.dashboard import render_dashboard
-        from repro.obs.perf import load_history
-
-        common.save_table("T-A", "t", "body", rows=[{"n": 6, "m": 3}])
-        html = render_dashboard(history=load_history(common.HISTORY_PATH))
-        assert "Benchmark history" in html and "T-A" in html

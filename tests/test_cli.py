@@ -319,26 +319,19 @@ def test_profile_config_mode(capsys, tmp_path) -> None:
     assert doc["config"]["correct"] is True
 
 
-def test_profile_text_flame_folded_record(capsys, tmp_path) -> None:
+def test_profile_text_flame_folded(capsys, tmp_path) -> None:
     flame = tmp_path / "flame.svg"
     folded = tmp_path / "stacks.folded"
-    history = tmp_path / "hist.jsonl"
     out = run_cli(capsys, "profile", "--n", "8", "--m", "3",
                   "--backend", "vector",
                   "--flame-out", str(flame),
-                  "--folded-out", str(folded),
-                  "--record", str(history))
+                  "--folded-out", str(folded))
     assert "phases (top" in out
     assert "critical path [linear-n8-m3]" in out
     svg = flame.read_text()
     assert svg.startswith("<svg") and "http://www.w3.org/2000/svg" in svg
     lines = folded.read_text().splitlines()
     assert lines and all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
-    import json
-
-    rec = json.loads(history.read_text().splitlines()[-1])
-    assert rec["exp_id"] == "linear-n8-m3:profile"
-    assert "profile_wall_s" in rec["metrics"]
 
 
 def test_profile_from_run(capsys, tmp_path, monkeypatch) -> None:
@@ -426,24 +419,8 @@ class TestClosureVerb:
         assert doc["check"]["agree"] is True
         assert doc["dataset"]["n"] == 16
 
-    def test_record_appends_history_and_trajectory(self, capsys,
-                                                   tmp_path) -> None:
-        import json
-
-        hist = tmp_path / "hist" / "history.jsonl"
-        out = run_cli(capsys, "closure", "--dataset",
-                      "kron:scale=5,edges=4", "--record", str(hist))
-        assert "appended" in out
-        rec = json.loads(hist.read_text().splitlines()[-1])
-        assert rec["exp_id"].startswith("DS-kron")
-        assert rec["n"] == 32  # dimensions stamped, never null
-        assert rec["metrics"]["wall_time_s"] > 0
-        # The roll-up lands next to a custom history file, not at the
-        # repo root (and certainly not at filesystem root).
-        assert (tmp_path / "hist" / "BENCH_PERF.json").exists()
-
     @pytest.mark.parametrize("fmt", ("text", "json"))
-    def test_reach_counts_read_once(self, capsys, tmp_path, monkeypatch,
+    def test_reach_counts_read_once(self, capsys, monkeypatch,
                                     fmt: str) -> None:
         from repro.datasets.closure import ClosureResult
 
@@ -457,8 +434,7 @@ class TestClosureVerb:
 
         monkeypatch.setattr(ClosureResult, "reach_counts", property(counted))
         run_cli(capsys, "closure", "--dataset", "kron:scale=5,edges=4",
-                "--check", "ssc12", "--format", fmt,
-                "--record", str(tmp_path / "history.jsonl"))
+                "--check", "ssc12", "--format", fmt)
         assert calls == ["bitpack"]
 
     def test_emits_run_ledger(self, capsys, tmp_path, monkeypatch) -> None:
@@ -479,16 +455,6 @@ class TestBenchDataset:
                        "array-reference", "array-vector"):
             assert engine in out, engine
         assert "False" not in out  # every engine agrees with the oracle
-
-    def test_record_stamps_dimensions(self, capsys, tmp_path) -> None:
-        import json
-
-        hist = tmp_path / "h" / "history.jsonl"
-        run_cli(capsys, "bench", "--dataset", "kron:scale=3,edges=3",
-                "--record", str(hist))
-        rec = json.loads(hist.read_text().splitlines()[-1])
-        assert rec["n"] == 8 and rec["m"] is not None
-        assert "ssc12_wall_s" in rec["metrics"]
 
     def test_bad_spec_exits_two(self, capsys) -> None:
         assert main(["bench", "--dataset", "kron:"]) == 2

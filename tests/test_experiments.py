@@ -53,3 +53,21 @@ def test_cli_reproduce_runs_one(capsys) -> None:
 
 def test_cli_reproduce_rejects_unknown() -> None:
     assert main(["reproduce", "NOPE"]) == 2
+
+
+def test_backend_timing_reports_cold_and_warm_ratios() -> None:
+    from repro.experiments.arrays import backend_timing
+
+    (r,) = backend_timing(configs=((6, 3, "linear"),), replays=1)
+    assert r["identical"]
+    ref, vec, comp = (r["wall_reference_s"], r["wall_vector_s"],
+                      r["wall_compile_s"])
+    # Cold pays the compile, so it never beats warm.
+    assert r["cold_speedup"] <= r["warm_speedup"]
+    assert r["cold_speedup"] == pytest.approx(ref / (comp + vec), rel=0.05)
+    if ref > vec:
+        assert r["break_even_replays"] == pytest.approx(
+            comp / (ref - vec), rel=0.05
+        )
+    else:
+        assert r["break_even_replays"] == float("inf")
