@@ -27,8 +27,9 @@ Package map (see DESIGN.md for the full inventory):
   inverse) and software oracles;
 * :mod:`repro.arrays` — array topologies, execution plans, the
   cycle-level simulator, the Fig. 21 host interface, fault analysis;
-* :mod:`repro.partitioning` — coalescing (Fig. 1), cut-and-pile (Fig. 2),
-  sub-algorithm decomposition (Fig. 3);
+* :mod:`repro.partitioning` — coalescing (Fig. 1), sub-algorithm
+  decomposition (Fig. 3) and the hybrid scheme; cut-and-pile (Fig. 2),
+  the paper's scheme, is :func:`repro.core.partitioner.partition`;
 * :mod:`repro.baselines` — Kung's fixed-size array [23] and the
   Núñez-Torralba block partitioning [22];
 * :mod:`repro.viz` — ASCII renderings of the figures.

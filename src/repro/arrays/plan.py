@@ -141,7 +141,7 @@ def partitioned_plan(
     with stage_span(
         "plan.partitioned", geometry=plan.geometry, m=plan.m,
         gsets=len(order),
-    ):
+    ) as sp:
         t = start
         stalls = 0
         for s in order:
@@ -176,6 +176,9 @@ def partitioned_plan(
             stall_cycles=stalls,
         )
         ep.validate_exclusive()
+        sp.tag("fires", len(fires))
+        sp.tag("makespan", ep.makespan)
+        sp.tag("stall_cycles", stalls)
     return ep
 
 

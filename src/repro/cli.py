@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -1123,12 +1124,32 @@ def _cmd_perfcheck(args) -> int:
     return 1 if regressions else 0
 
 
+@contextmanager
+def _recorded_stages() -> Iterator[list[dict]]:
+    """Record the block's ledger events in memory, even with no run open.
+
+    The yielded list fills with the events (stage pairs included) the
+    block emits; on exit they are folded into the open run, if any, so
+    ``repro profile --from-run`` on this run sees the same stages.
+    """
+    from .obs import runlog
+
+    outer = runlog.current_run()
+    payload = runlog.worker_payload() or {"run": "profile", "entry": "profile"}
+    with runlog.worker_scope(payload) as rl:
+        try:
+            yield rl.events
+        finally:
+            if outer is not None:
+                outer.absorb(rl.events)
+
+
 def _cmd_profile(args) -> int:
     import json
     from time import perf_counter
 
     from .obs import profile as prof
-    from .obs.tracing import stage_span, traced_run
+    from .obs.tracing import stage_span
 
     modes = sum(
         1 for flag in (args.experiment, args.from_run, args.n) if flag is not None
@@ -1165,7 +1186,7 @@ def _cmd_profile(args) -> int:
         backend = resolve_backend(args.backend)
         previous = set_default_backend(backend)
         try:
-            with traced_run() as tracer, prof.kernel_profiling() as kp:
+            with _recorded_stages() as events, prof.kernel_profiling() as kp:
                 t0 = perf_counter()
                 with stage_span(
                     f"experiment.{args.experiment}", backend=backend
@@ -1174,7 +1195,7 @@ def _cmd_profile(args) -> int:
                 wall = perf_counter() - t0
         finally:
             set_default_backend(previous)
-        phases = prof.build_phase_tree(tracer.spans, wall_s=wall)
+        phases = prof.profile_from_runlog(events, wall_s=wall)
         critical = [
             prof.config_critical_report(g, n, m, backend=backend,
                                         top=args.top)
@@ -1194,7 +1215,7 @@ def _cmd_profile(args) -> int:
 
         n = args.n if args.n is not None else 12
         backend = resolve_backend(args.backend)
-        with traced_run() as tracer, prof.kernel_profiling() as kp:
+        with _recorded_stages() as events, prof.kernel_profiling() as kp:
             t0 = perf_counter()
             with stage_span(
                 "profile.config", n=n, m=args.m, geometry=args.geometry
@@ -1229,7 +1250,7 @@ def _cmd_profile(args) -> int:
             "zero_slack_nodes": cp.zero_slack_nodes,
             "hotspots": prof.attribute_makespan(cp, top=args.top),
         }]
-        phases = prof.build_phase_tree(tracer.spans, wall_s=wall)
+        phases = prof.profile_from_runlog(events, wall_s=wall)
         doc = prof.build_profile_document(
             phases, wall, kernels=kp.summary(), critical_paths=critical,
             config=config, backend=backend,

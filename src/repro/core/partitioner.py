@@ -65,13 +65,7 @@ class PartitionedImplementation:
         if self._exec_plan is None:
             from ..arrays.plan import partitioned_plan
 
-            with stage_span(
-                "arrays.partitioned_plan", gsets=len(self.order)
-            ) as sp:
-                self._exec_plan = partitioned_plan(self.plan, self.order)
-                sp.tag("fires", len(self._exec_plan.fires))
-                sp.tag("makespan", self._exec_plan.makespan)
-                sp.tag("stall_cycles", self._exec_plan.stall_cycles)
+            self._exec_plan = partitioned_plan(self.plan, self.order)
         return self._exec_plan
 
     def run(

@@ -109,6 +109,7 @@ def verify_implementation(
     """
     from ..arrays.vector_sim import resolve_backend
     from ..obs import runlog
+    from ..obs.tracing import stage_span
 
     rng = np.random.default_rng(seed)
     n = len({nid[1] for nid in impl.dg.inputs})
@@ -130,7 +131,7 @@ def verify_implementation(
             from ..lint import LintTarget, run_lint
             from .metrics import tc_io_bandwidth
 
-            with runlog.stage_scope("verify.preflight"):
+            with stage_span("verify.preflight"):
                 lint_report = run_lint(
                     LintTarget.from_implementation(
                         impl, io_bound=tc_io_bandwidth(n, impl.plan.m)
@@ -149,7 +150,7 @@ def verify_implementation(
         violation_trials = 0
         max_mem = 0
         mismatches: list[str] = []
-        with runlog.stage_scope("verify.trials", trials=len(inputs)):
+        with stage_span("verify.trials", trials=len(inputs)):
             for idx, a in enumerate(inputs):
                 res = impl.simulate(a, backend=backend)
                 if res.violations:

@@ -21,6 +21,7 @@ from typing import Any, Sequence
 
 from ..obs import runlog
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
+from ..obs.tracing import stage_span
 
 __all__ = ["run_experiments"]
 
@@ -29,7 +30,7 @@ def _run_one(exp_id: str) -> list[dict]:
     """Build one experiment table inside a ledger stage (any process)."""
     from . import EXPERIMENTS
 
-    with runlog.stage_scope("experiment.run", exp=exp_id):
+    with stage_span("experiment.run", exp=exp_id):
         return EXPERIMENTS[exp_id].run()
 
 

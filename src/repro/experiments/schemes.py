@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..algorithms.transitive_closure import tc_regular
-from ..core.ggraph import GGraph, group_by_columns
+from ..core.ggraph import group_by_columns
+from ..core.partitioner import partition
 from ..partitioning.coalescing import coalesce_by_strips
-from ..partitioning.cut_and_pile import cut_and_pile
 from ..partitioning.decomposition import band_matmul_decomposition
 
 __all__ = ["coalescing_storage", "cut_and_pile_census", "band_decomposition"]
@@ -17,9 +17,8 @@ def coalescing_storage(ns=(6, 9, 12, 15), m: int = 4) -> list[dict]:
     """F01: LSGP per-cell live storage (O(n^2/m)) vs LPGS (zero local)."""
     rows = []
     for n in ns:
-        gg = GGraph(tc_regular(n), group_by_columns)
-        co = coalesce_by_strips(gg, m)
-        cp = cut_and_pile(gg, m)
+        impl = partition(tc_regular(n), group_by_columns, m)
+        co = coalesce_by_strips(impl.gg, m)
         rows.append(
             {
                 "n": n,
@@ -28,7 +27,7 @@ def coalescing_storage(ns=(6, 9, 12, 15), m: int = 4) -> list[dict]:
                 "n^2/m": n * n // m,
                 "lsgp_occupancy": float(co.occupancy),
                 "lpgs_local_storage": 0,
-                "lpgs_external_words": cp.report.memory_words,
+                "lpgs_external_words": impl.report.memory_words,
             }
         )
     return rows
@@ -40,16 +39,15 @@ def cut_and_pile_census(
     """F02: cut-and-pile runs with zero stalls and external-only storage."""
     rows = []
     for n, m, geometry in configs:
-        gg = GGraph(tc_regular(n), group_by_columns)
-        cp = cut_and_pile(gg, m, geometry)
-        r = cp.report.row()
+        impl = partition(tc_regular(n), group_by_columns, m, geometry)
+        r = impl.report.row()
         rows.append(
             {
                 "n": n,
                 "m": m,
                 "geometry": geometry,
                 "gsets": r["gsets"],
-                "stalls": cp.exec_plan.stall_cycles,
+                "stalls": impl.exec_plan.stall_cycles,
                 "overhead": r["overhead"],
                 "external_words": r["mem_words"],
                 "mem_ports": r["mem_ports"],

@@ -6,10 +6,12 @@ Three instruments, one package:
   histograms) with Prometheus-text and JSON exporters; the benchmark
   harness routes every table through it so each experiment also lands as
   machine-readable ``benchmarks/out/<exp_id>.json``.
-* :mod:`repro.obs.tracing` — **span tracing** of the pipeline stages
-  (broadcast removal, flipping, delay insertion, grouping, G-set
-  selection, scheduling, ...) with a Chrome ``trace_event`` exporter:
-  traces open directly in Perfetto / ``chrome://tracing``.
+* :mod:`repro.obs.tracing` — **stage spans**, the one way to mark a
+  stage (transforms, grouping, G-set selection, scheduling, plan
+  building, compile, simulation, campaigns, verification, ...).  Each
+  span feeds the installed tracer, whose Chrome ``trace_event`` export
+  opens directly in Perfetto / ``chrome://tracing``, and the open run
+  ledger.
 * :mod:`repro.obs.probe` / :mod:`repro.obs.report` — **per-cycle
   simulator probes**: the cycle simulator emits fire/operand/input/
   violation events behind a zero-overhead-when-disabled protocol, from
@@ -22,13 +24,14 @@ Three instruments, one package:
   ``python -m repro perfcheck``.
 * :mod:`repro.obs.runlog` — the **run ledger**: every entry point opens
   a run context with a deterministic run ID and appends typed JSONL
-  events (stages, lint, plan cache, backend, faults, checkpoints,
-  oracle) to ``runs/<run-id>.jsonl``; query via ``python -m repro obs``.
+  events (every stage span, lint, plan cache, backend, faults,
+  checkpoints, oracle) to ``runs/<run-id>.jsonl``; query via
+  ``python -m repro obs``.
 * :mod:`repro.obs.dashboard` — the self-contained **HTML dashboard**
   (``python -m repro dashboard``); imported lazily (as
   ``repro.obs.dashboard``) because it pulls in the viz layer.
 * :mod:`repro.obs.profile` — the **hierarchical profiler**: phase trees
-  from tracer spans or ledger stage events, per-``(depth, opcode)``
+  from ledger stage events, per-``(depth, opcode)``
   kernel timings behind a probe-style zero-overhead seam, critical-path
   makespan attribution and folded-stack/flamegraph export
   (``python -m repro profile``).
@@ -79,7 +82,6 @@ from .profile import (  # noqa: F401
     PathStep,
     ProfileNode,
     attribute_makespan,
-    build_phase_tree,
     build_profile_document,
     critical_path,
     install_kernel_profiler,
@@ -112,7 +114,6 @@ from .runlog import (  # noqa: F401
     run_scope,
     runlog_dir,
     runlog_enabled,
-    stage_scope,
     strip_nondeterministic,
     summarize,
     task_scope,
@@ -161,7 +162,6 @@ __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "KERNEL_BUCKETS",
     "ProfileNode",
-    "build_phase_tree",
     "profile_from_runlog",
     "to_folded",
     "KernelProfiler",
@@ -186,7 +186,6 @@ __all__ = [
     "RunLog",
     "run_scope",
     "task_scope",
-    "stage_scope",
     "emit",
     "current_run",
     "current_run_id",

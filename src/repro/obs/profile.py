@@ -2,14 +2,15 @@
 
 Three layers, all answering "where did the time (or the makespan) go?":
 
-* **Phase profiling** — :func:`build_phase_tree` folds the tracer's
-  closed spans (:class:`repro.obs.tracing.Span`) into a nested
+* **Phase profiling** — :func:`profile_from_runlog` folds a run
+  ledger's ``stage_start``/``stage_end`` events (one pair per
+  :func:`repro.obs.tracing.stage_span`) into a nested
   :class:`ProfileNode` tree with cumulative (``total_s``) and exclusive
-  (``self_s``) times, so ``partition -> lint preflight -> plan compile ->
-  simulate`` becomes a tree whose self-times sum to the measured wall
-  time.  :func:`profile_from_runlog` rebuilds the same tree shape from a
-  run ledger's ``stage_start``/``stage_end`` events, so a *past* run can
-  be profiled from its JSONL alone (``repro profile --from-run``).
+  (``self_s``) times, so ``partition -> lint preflight -> plan compile
+  -> simulate`` becomes a tree whose self-times sum to the measured
+  wall time.  ``repro profile`` builds its live tree from the events of
+  the run it measures, and ``repro profile --from-run`` builds the same
+  tree from a past run's JSONL alone.
 * **Kernel profiling** — :class:`KernelProfiler` records per-``(depth,
   opcode)`` batch-step timings and element counts from the vector
   replay loop (and per-node opcode timings from the reference
@@ -45,13 +46,11 @@ from .metrics import MetricsRegistry, get_registry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..arrays.plan import ExecutionPlan
     from ..core.graph import DependenceGraph
-    from .tracing import Span
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "KERNEL_BUCKETS",
     "ProfileNode",
-    "build_phase_tree",
     "profile_from_runlog",
     "to_folded",
     "KernelProfiler",
@@ -76,7 +75,7 @@ PROFILE_SCHEMA_VERSION = 1
 
 
 # ----------------------------------------------------------------------
-# Phase profiling: span/ledger streams -> nested self/cumulative tree
+# Phase profiling: ledger stage events -> nested self/cumulative tree
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -145,62 +144,30 @@ class ProfileNode:
                 stack.append((path + (c.name,), c))
 
 
-def build_phase_tree(
-    spans: "Sequence[Span]",
-    root_name: str = "run",
-    wall_s: "float | None" = None,
-) -> ProfileNode:
-    """Fold closed tracer spans into a nested phase tree.
-
-    Nesting is reconstructed from interval containment (the tracer
-    appends children before their parents), so the caller only needs the
-    flat ``tracer.spans`` list.  ``wall_s`` fixes the root's cumulative
-    time; by default it is the extent of the spans themselves.  Because
-    every span lies inside the root and ``self_s`` telescopes, the
-    tree's self-times sum to the root total exactly.
-    """
-    root = ProfileNode(root_name, count=1)
-    closed = [s for s in spans if s.end_ns is not None]
-    if not closed:
-        root.total_s = wall_s or 0.0
-        return root
-    t_lo = min(s.start_ns for s in closed)
-    t_hi = max(s.end_ns for s in closed if s.end_ns is not None)
-    root.total_s = wall_s if wall_s is not None else (t_hi - t_lo) / 1e9
-    # Parents first at equal starts; a stack of open intervals gives the
-    # ancestry of each span.
-    ordered = sorted(closed, key=lambda s: (s.start_ns, -(s.end_ns or 0)))
-    stack: list[Span] = []
-    for s in ordered:
-        while stack and not (
-            s.start_ns >= stack[-1].start_ns
-            and (s.end_ns or 0) <= (stack[-1].end_ns or 0)
-        ):
-            stack.pop()
-        path = tuple(a.name for a in stack) + (s.name,)
-        root.add(path, s.duration_s)
-        stack.append(s)
-    return root
-
-
 def profile_from_runlog(
     events: Sequence[Mapping[str, Any]],
     root_name: str = "run",
+    wall_s: "float | None" = None,
 ) -> ProfileNode:
-    """Rebuild a phase tree from a run ledger's stage events.
+    """Build a phase tree from a run ledger's stage events.
 
-    Uses the ``stage_start``/``stage_end`` pairs (with their measured
-    ``dur_s``) per task stream; task names become first-level phases, so
-    a campaign ledger profiles as ``run -> <config> -> <stage> -> ...``.
-    The root total is the ledger's first-to-last timestamp extent.
+    Every :func:`repro.obs.tracing.stage_span` lands in the ledger as a
+    ``stage_start``/``stage_end`` pair; a stage's parent is the stage
+    still open in the same task stream when it starts, and its time is
+    the measured ``dur_s``.  Task names become first-level phases, so a
+    campaign ledger profiles as ``run -> <config> -> <stage> -> ...``.
+    ``wall_s`` pins the root's cumulative time; by default it is the
+    ledger's first-to-last timestamp extent.  Time outside every stage
+    is the root's self time, so the tree's self-times sum to the root
+    total.
     """
-    root = ProfileNode(root_name, count=1)
-    ts = [
-        ev["ts"] for ev in events
-        if isinstance(ev.get("ts"), (int, float))
-    ]
-    if ts:
-        root.total_s = max(ts) - min(ts)
+    if wall_s is None:
+        ts = [
+            ev["ts"] for ev in events
+            if isinstance(ev.get("ts"), (int, float))
+        ]
+        wall_s = max(ts) - min(ts) if ts else 0.0
+    root = ProfileNode(root_name, count=1, total_s=wall_s)
     stacks: dict[Any, list[str]] = {}
     for ev in events:
         name = ev.get("event")

@@ -6,18 +6,20 @@ Every top-level entry point (the ``partition`` / ``trace`` / ``faults`` /
 :func:`repro.resilience.campaign.run_campaign` and
 :func:`repro.experiments.runner.run_experiments`) opens a *run scope*
 with a **deterministic run ID** and appends versioned events to a
-per-run ledger file — stage start/end with durations, the lint
-preflight outcome, plan-cache hit/miss/compile (with
-``plan_fingerprint``), backend selection and fallback reason, fault
-inject/detect/recover steps, checkpoint save/restore, and the oracle
-verdict.  ``python -m repro obs`` queries the ledgers (``list`` /
-``show`` / ``diff`` / ``verify``).
+per-run ledger file — a start/end pair with its duration for every
+:func:`repro.obs.tracing.stage_span` (pipeline, simulator, campaign,
+verify and experiment stages alike), the lint preflight outcome,
+plan-cache hit/miss/compile (with ``plan_fingerprint``), backend
+selection and fallback reason, fault inject/detect/recover steps,
+checkpoint save/restore, and the oracle verdict.  ``python -m repro
+obs`` queries the ledgers (``list`` / ``show`` / ``diff`` /
+``verify``).
 
 Design rules, in the order they matter:
 
-* **Zero cost when inactive.**  :func:`emit` (and every scope helper)
-  checks one module global and returns — exactly the
-  :func:`repro.obs.tracing.stage_span` protocol.  Library users pay a
+* **Zero cost when inactive.**  :func:`emit` and :func:`task_scope`
+  check one module global and return; :func:`repro.obs.tracing.
+  stage_span` checks it beside the tracer.  Library users pay a
   ``None`` check per call site unless a run scope is open.
 * **Deterministic identity.**  ``run_id = f"{entry}-{sha256(entry +
   canonical params)[:12]}"``.  The parameters *exclude* execution knobs
@@ -62,7 +64,6 @@ __all__ = [
     "RunLog",
     "run_scope",
     "task_scope",
-    "stage_scope",
     "emit",
     "current_run",
     "current_run_id",
@@ -161,8 +162,9 @@ class RunLog:
 
     Instances are created by :func:`run_scope` (parent, file-backed) and
     :func:`worker_scope` (worker, in-memory only); library code talks to
-    the module-level :func:`emit` / :func:`task_scope` /
-    :func:`stage_scope`, which are no-ops unless a scope is open.
+    the module-level :func:`emit` / :func:`task_scope` and marks stages
+    with :func:`repro.obs.tracing.stage_span` -- all no-ops unless a
+    scope is open.
     """
 
     def __init__(
@@ -246,23 +248,24 @@ class RunLog:
             self._tasks.pop()
 
     @contextmanager
-    def stage(self, name: str, **fields: Any) -> Iterator[None]:
-        """A ``stage_start`` / ``stage_end`` pair with measured duration."""
+    def stage(self, name: str, **fields: Any) -> Iterator[dict[str, Any]]:
+        """A ``stage_start`` / ``stage_end`` pair with measured duration.
+
+        Entries the block puts into the yielded dict go on
+        ``stage_end``; an escaping exception adds its type as ``error``.
+        """
         self.emit("stage_start", stage=name, **fields)
+        end: dict[str, Any] = {}
         t0 = time.perf_counter()
         try:
-            yield
+            yield end
         except BaseException as exc:
-            self.emit(
-                "stage_end", stage=name,
-                dur_s=round(time.perf_counter() - t0, 6),
-                error=type(exc).__name__,
-            )
+            end["error"] = type(exc).__name__
             raise
-        else:
+        finally:
             self.emit(
                 "stage_end", stage=name,
-                dur_s=round(time.perf_counter() - t0, 6),
+                dur_s=round(time.perf_counter() - t0, 6), **end,
             )
 
     # -- cross-process merge --------------------------------------------
@@ -358,16 +361,6 @@ def task_scope(name: str) -> Iterator[None]:
         yield
         return
     with _ACTIVE.task_ctx(name):
-        yield
-
-
-@contextmanager
-def stage_scope(name: str, **fields: Any) -> Iterator[None]:
-    """Emit a timed stage pair around the block (no-op without a run)."""
-    if _ACTIVE is None:
-        yield
-        return
-    with _ACTIVE.stage(name, **fields):
         yield
 
 

@@ -1,30 +1,33 @@
-"""Span-based tracing with a Chrome ``trace_event`` JSON exporter.
+"""Stage spans and the Chrome ``trace_event`` exporter.
 
-A :class:`Tracer` records *spans* — named intervals measured with the
-monotonic clock, tagged with arbitrary key/value pairs (node counts, edge
-counts, G-set counts, ...).  The pipeline stages of
-:mod:`repro.core.transform`, :mod:`repro.core.partitioner`,
-:mod:`repro.partitioning.cut_and_pile` and :mod:`repro.arrays.pipeline`
-open a span via :func:`stage_span`, which is a cheap no-op until a tracer
-is installed (:func:`install_tracer`) — library users pay nothing unless
-they ask for a trace.
+:func:`stage_span` is the one way to mark a stage, and each span goes to
+every installed sink:
 
-The exporter emits the Chrome ``trace_event`` format (``X`` complete
-events on wall-clock process 1, plus any raw events contributed by the
-simulator probes on their own process), so ``python -m repro trace
---trace-out t.json`` produces a file that opens directly in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing``.
+* the installed :class:`Tracer` (:func:`install_tracer`) records it as a
+  named, tagged interval on the monotonic clock and exports Chrome
+  ``trace_event`` JSON (``X`` events on wall-clock process 1, plus raw
+  events the simulator probes add on their own process), so ``python -m
+  repro trace --trace-out t.json`` opens in Perfetto
+  (https://ui.perfetto.dev) or ``chrome://tracing``;
+* the open run ledger (:mod:`repro.obs.runlog`) records it as a
+  ``stage_start`` / ``stage_end`` pair, from which
+  :func:`repro.obs.profile.profile_from_runlog` builds phase trees.
+
+With neither sink installed a span is a no-op, so library users pay
+nothing unless they ask for a trace or a ledger.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator
+
+from . import runlog as _runlog
 
 __all__ = [
     "Span",
@@ -77,8 +80,15 @@ class Span:
         return self.duration_ns / 1e9
 
 
+def _new_span(name: str, start_ns: int, args: dict[str, Any]) -> Span:
+    s = Span(name=name, start_ns=start_ns)
+    for k, v in args.items():
+        s.tag(k, v)
+    return s
+
+
 class _NullSpan:
-    """Singleton stand-in yielded when no tracer is installed."""
+    """Singleton stand-in yielded when no sink is installed."""
 
     __slots__ = ()
 
@@ -107,9 +117,7 @@ class Tracer:
     @contextmanager
     def span(self, name: str, **args: Any) -> Iterator[Span]:
         """Open a span; the yielded object accepts ``.tag(k, v)``."""
-        s = Span(name=name, start_ns=self._clock(), tid=1)
-        for k, v in args.items():
-            s.tag(k, v)
+        s = _new_span(name, self._clock(), args)
         self._stack.append(s)
         try:
             yield s
@@ -120,9 +128,7 @@ class Tracer:
 
     def instant(self, name: str, **args: Any) -> None:
         """Record a zero-duration marker event."""
-        s = Span(name=name, start_ns=self._clock(), end_ns=None)
-        for k, v in args.items():
-            s.tag(k, v)
+        s = _new_span(name, self._clock(), args)
         self.extra_events.append(
             {
                 "name": name,
@@ -266,17 +272,35 @@ def traced_run(trace_path: "str | Path | None" = None) -> Iterator[Tracer]:
 
 @contextmanager
 def stage_span(name: str, **args: Any) -> Iterator[Span | _NullSpan]:
-    """Span against the installed tracer, or a no-op when tracing is off.
+    """Mark one stage for the installed tracer and the open run ledger.
 
-    This is the one call sites use::
+    The tracer records a span; the ledger records a ``stage_start``
+    (carrying ``args``) and a ``stage_end`` (carrying the measured
+    ``dur_s`` and every tag set inside the block).  With neither sink
+    installed this yields :data:`NULL_SPAN` and records nothing::
 
         with stage_span("transform.prune", graph=dg.name) as sp:
             ...
             sp.tag("nodes_out", len(out))
     """
     tracer = _TRACER
-    if tracer is None:
+    run = _runlog.current_run()
+    if tracer is None and run is None:
         yield NULL_SPAN
         return
-    with tracer.span(name, **args) as s:
-        yield s
+    with (
+        tracer.span(name, **args) if tracer is not None
+        else nullcontext(_new_span(name, 0, args))
+    ) as span:
+        if run is None:
+            yield span
+            return
+        start = dict(span.args)
+        with run.stage(name, **start) as end:
+            try:
+                yield span
+            finally:
+                end.update(
+                    (k, v) for k, v in span.args.items()
+                    if k not in start or start[k] != v
+                )

@@ -34,6 +34,7 @@ from ..arrays.vector_compile import compiled_cache_info
 from ..core.semiring import BOOLEAN, Semiring
 from ..obs import runlog
 from ..obs.metrics import get_registry
+from ..obs.tracing import stage_span
 from .faults import FaultKind, FaultSpec
 from .regimes import FaultPlan, make_regime
 from .runtime import RecoveryPolicy, RecoveryResult, ResilienceError, run_resilient
@@ -410,7 +411,7 @@ def _config_runs(
 ) -> list[CampaignRun]:
     """All campaign cells of one configuration (one design build)."""
     cache_before = compiled_cache_info()
-    with runlog.stage_scope("campaign.config", config=config.name):
+    with stage_span("campaign.config", config=config.name):
         design = build_design(config)
         a = seeded_matrix(
             config.n, random.Random(f"{seed}:{config.name}:matrix")
@@ -451,7 +452,7 @@ def _kind_runs(
         spec = plan_fault(design, kind, rng)
         error: "str | None" = None
         result: "RecoveryResult | None" = None
-        with runlog.stage_scope("campaign.cell", kind=kind.value):
+        with stage_span("campaign.cell", kind=kind.value):
             try:
                 result = run_resilient(
                     design.dg, design.gg, design.plan, design.order,
@@ -543,7 +544,7 @@ def _regime_runs(
         specs = fault_plan.specs()
         error: "str | None" = None
         result: "RecoveryResult | None" = None
-        with runlog.stage_scope("campaign.cell", regime=name):
+        with stage_span("campaign.cell", regime=name):
             runlog.emit(
                 "fault_regime", design=f"{config.name}:{name}",
                 regime=name, params=dict(fault_plan.params),

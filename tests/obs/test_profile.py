@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs import profile as prof
 from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.obs.tracing import Span
 
 
 @pytest.fixture(autouse=True)
@@ -29,48 +28,59 @@ def _no_leftover_profiler():
 # Phase trees
 # ----------------------------------------------------------------------
 
-def span(name, start_ms, end_ms):
-    return Span(name, int(start_ms * 1e6), int(end_ms * 1e6))
+def stages(*intervals):
+    """Ledger stage events for ``(name, start_ms, end_ms)`` intervals.
+
+    Events are ordered as a run emits them: at equal times an end comes
+    before a start, an enclosing stage starts before (and ends after)
+    the stages it contains.
+    """
+    keyed = []
+    for name, lo, hi in intervals:
+        keyed.append(((lo, 1, -hi), {
+            "event": "stage_start", "stage": name, "ts": lo / 1e3,
+        }))
+        keyed.append(((hi, 0, -lo), {
+            "event": "stage_end", "stage": name, "ts": hi / 1e3,
+            "dur_s": (hi - lo) / 1e3,
+        }))
+    return [ev for _, ev in sorted(keyed, key=lambda p: p[0])]
 
 
 class TestPhaseTree:
     def test_nesting_from_interval_containment(self):
-        spans = [
-            span("inner.a", 10, 40),
-            span("inner.b", 50, 90),
-            span("outer", 0, 100),
-        ]
-        root = prof.build_phase_tree(spans, wall_s=0.1)
+        events = stages(
+            ("inner.a", 10, 40),
+            ("inner.b", 50, 90),
+            ("outer", 0, 100),
+        )
+        root = prof.profile_from_runlog(events, wall_s=0.1)
         outer = root.children["outer"]
         assert set(outer.children) == {"inner.a", "inner.b"}
         assert outer.total_s == pytest.approx(0.1)
         assert outer.self_s == pytest.approx(0.03)  # 100 - 30 - 40 ms
 
     def test_self_times_sum_to_wall(self):
-        spans = [
-            span("a", 0, 60),
-            span("a.x", 5, 25),
-            span("b", 60, 80),
-        ]
-        root = prof.build_phase_tree(spans, wall_s=0.1)
+        events = stages(("a", 0, 60), ("a.x", 5, 25), ("b", 60, 80))
+        root = prof.profile_from_runlog(events, wall_s=0.1)
         self_sum = sum(node.self_s for _, node in root.walk())
         assert self_sum == pytest.approx(0.1)
 
     def test_repeated_phases_aggregate(self):
-        spans = [span("step", 0, 10), span("step", 20, 35)]
-        root = prof.build_phase_tree(spans)
+        events = stages(("step", 0, 10), ("step", 20, 35))
+        root = prof.profile_from_runlog(events)
         step = root.children["step"]
         assert step.count == 2
         assert step.total_s == pytest.approx(0.025)
 
     def test_empty_spans(self):
-        root = prof.build_phase_tree([], wall_s=1.5)
+        root = prof.profile_from_runlog([], wall_s=1.5)
         assert root.total_s == 1.5
         assert root.children == {}
 
     def test_to_dict_sorted_by_total(self):
-        spans = [span("small", 0, 5), span("big", 10, 90)]
-        doc = prof.build_phase_tree(spans).to_dict()
+        events = stages(("small", 0, 5), ("big", 10, 90))
+        doc = prof.profile_from_runlog(events).to_dict()
         assert [c["name"] for c in doc["children"]] == ["big", "small"]
         assert doc["children"][0]["self_s"] == pytest.approx(0.08)
 
@@ -98,8 +108,8 @@ class TestPhaseTree:
         assert self_sum == pytest.approx(root.total_s)
 
     def test_to_folded_format(self):
-        spans = [span("a", 0, 100), span("a.x", 10, 60)]
-        root = prof.build_phase_tree(spans, root_name="run", wall_s=0.1)
+        events = stages(("a", 0, 100), ("a.x", 10, 60))
+        root = prof.profile_from_runlog(events, root_name="run", wall_s=0.1)
         lines = prof.to_folded(root)
         assert "run;a;a.x 50000" in lines
         assert "run;a 50000" in lines
@@ -276,8 +286,8 @@ class TestCriticalPath:
 
 class TestProfileDocument:
     def doc(self):
-        spans = [span("a", 0, 60), span("b", 60, 100)]
-        phases = prof.build_phase_tree(spans, wall_s=0.1)
+        events = stages(("a", 0, 60), ("b", 60, 100))
+        phases = prof.profile_from_runlog(events, wall_s=0.1)
         return prof.build_profile_document(
             phases, 0.1,
             kernels=[{"backend": "vector", "depth": 1, "opcode": "mac",

@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import runlog
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.tracing import stage_span
 
 
 @pytest.fixture(autouse=True)
@@ -51,7 +52,7 @@ def test_ledger_path_respects_env(tmp_path, monkeypatch):
 def test_emit_is_noop_without_scope():
     assert runlog.current_run() is None
     runlog.emit("lint", ok=True)  # must not raise
-    with runlog.task_scope("t"), runlog.stage_scope("s"):
+    with runlog.task_scope("t"), stage_span("s"):
         pass
     assert runlog.current_run_id() is None
     assert runlog.current_task() == ""
@@ -64,7 +65,7 @@ def test_run_scope_writes_ledger(tmp_path):
         with runlog.task_scope("task-a"):
             assert runlog.current_task() == "task-a"
             runlog.emit("oracle", ok=True)
-        with runlog.stage_scope("trials", trials=3):
+        with stage_span("trials", trials=3):
             pass
     path = tmp_path / f"{rl.run_id}.jsonl"
     events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -257,7 +258,7 @@ def test_worker_scope_none_payload_records_nothing():
 
 def _sample_events(tmp_path):
     with runlog.run_scope("verify", {"n": 5}, dir=tmp_path) as rl:
-        with runlog.stage_scope("trials"):
+        with stage_span("trials"):
             runlog.emit("oracle", ok=True)
     events, _ = runlog.read_ledger(tmp_path / f"{rl.run_id}.jsonl")
     return events

@@ -10,10 +10,11 @@ from repro.obs import (
     Tracer,
     get_tracer,
     install_tracer,
+    runlog,
     stage_span,
     uninstall_tracer,
 )
-from repro.obs.tracing import NULL_SPAN, SIM_PID, WALL_PID
+from repro.obs.tracing import NULL_SPAN, SIM_PID, WALL_PID, Span
 
 
 @pytest.fixture(autouse=True)
@@ -99,17 +100,53 @@ class TestChromeExport:
 
 
 class TestStageSpan:
-    def test_noop_without_tracer(self) -> None:
+    def test_noop_without_tracer(self, tmp_path, monkeypatch) -> None:
+        monkeypatch.setenv("REPRO_RUNLOG_DIR", str(tmp_path))
         assert get_tracer() is None
+        assert runlog.current_run() is None
         with stage_span("anything", n=1) as sp:
             assert sp is NULL_SPAN
             sp.tag("x", 1)  # must be harmless
+        # Neither sink installed: nothing recorded, nothing written.
+        assert get_tracer() is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_records_when_installed(self) -> None:
         t = install_tracer()
         with stage_span("stage.beta", m=4) as sp:
             sp.tag("out", 9)
         assert t.find_spans("stage.beta")[0].args == {"m": 4, "out": 9}
+
+    def test_open_run_gets_a_stage_pair(self) -> None:
+        from fractions import Fraction
+
+        with runlog.worker_scope({"run": "r-1", "entry": "t"}) as rl:
+            with stage_span("stage.gamma", n=5) as sp:
+                assert isinstance(sp, Span)
+                sp.tag("ratio", Fraction(1, 2))
+        start, end = rl.events
+        assert start["event"] == "stage_start"
+        assert start["stage"] == "stage.gamma" and start["n"] == 5
+        assert end["event"] == "stage_end" and end["stage"] == "stage.gamma"
+        # Tags set inside the block go on stage_end, JSON-converted.
+        assert end["ratio"] == 0.5 and "n" not in end
+        assert end["dur_s"] >= 0
+
+    def test_both_sinks_record_one_stage(self) -> None:
+        t = install_tracer()
+        with runlog.worker_scope({"run": "r-1", "entry": "t"}) as rl:
+            with pytest.raises(RuntimeError):
+                with stage_span("stage.delta", m=4) as sp:
+                    sp.tag("out", 9)
+                    raise RuntimeError("boom")
+        [span] = t.find_spans("stage.delta")
+        assert span.args == {"m": 4, "out": 9}
+        assert span.end_ns is not None
+        assert [ev["event"] for ev in rl.events] == [
+            "stage_start", "stage_end",
+        ]
+        assert rl.events[1]["error"] == "RuntimeError"
+        assert rl.events[1]["out"] == 9
 
     def test_install_uninstall_roundtrip(self) -> None:
         t = install_tracer()
@@ -133,10 +170,14 @@ class TestPipelineIntegration:
             "partition.schedule",
             "partition.verify",
             "partition.evaluate",
-            "arrays.partitioned_plan",
+            "plan.partitioned",
         } <= names
         group = t.find_spans("partition.group")[0]
         assert group.args["nodes"] > 0 and group.args["gnodes"] > 0
+        plan = t.find_spans("plan.partitioned")[0]
+        assert plan.args["fires"] == len(impl.exec_plan.fires)
+        assert plan.args["makespan"] == impl.exec_plan.makespan
+        assert plan.args["stall_cycles"] == 0
 
     def test_transforms_emit_spans_with_node_counts(self) -> None:
         from repro.algorithms.transitive_closure import tc_pruned
@@ -150,20 +191,23 @@ class TestPipelineIntegration:
         assert span.args["edges_in"] > 0
         assert "nodes_out" in span.args
 
-    def test_cut_and_pile_emits_spans(self) -> None:
-        from repro.algorithms.transitive_closure import tc_regular
-        from repro.core.ggraph import GGraph, group_by_columns
-        from repro.partitioning.cut_and_pile import cut_and_pile
+    def test_campaign_and_verify_emit_spans(self) -> None:
+        from repro import partition_transitive_closure
+        from repro.core.verify import verify_implementation
+        from repro.resilience import run_campaign
 
         t = install_tracer()
-        cut_and_pile(GGraph(tc_regular(6), group_by_columns), 3)
+        run_campaign(
+            seed=0, configs=["linear-n9-m3"], kinds=["transient"],
+            record_metrics=False,
+        )
+        verify_implementation(partition_transitive_closure(n=6, m=3), trials=1)
         names = {s.name for s in t.spans}
         assert {
-            "cut_and_pile.select_gsets",
-            "cut_and_pile.schedule",
-            "cut_and_pile.exec_plan",
-            "cut_and_pile.evaluate",
+            "campaign.config", "campaign.cell",
+            "verify.preflight", "verify.trials",
         } <= names
+        assert t.find_spans("campaign.cell")[0].args == {"kind": "transient"}
 
     def test_chained_instances_emit_spans(self) -> None:
         from repro.algorithms.transitive_closure import (

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 from repro.algorithms.transitive_closure import tc_regular
 from repro.core.ggraph import GGraph, group_by_columns
+from repro.core.partitioner import partition
 from repro.partitioning.coalescing import coalesce_by_strips
-from repro.partitioning.cut_and_pile import cut_and_pile
 from repro.partitioning.decomposition import band_matmul_decomposition
 
 
 def tc_gg(n: int) -> GGraph:
     return GGraph(tc_regular(n), group_by_columns)
+
+
+def cut_and_pile(n: int, m: int, geometry: str = "linear"):
+    """The paper's LPGS scheme: the partitioner on the Fig. 17 grouping."""
+    return partition(tc_regular(n), group_by_columns, m, geometry)
 
 
 class TestCoalescing:
@@ -35,9 +40,8 @@ class TestCoalescing:
 
     def test_cut_and_pile_needs_no_local_storage(self) -> None:
         """Contrast: LPGS parks everything in *external* memory."""
-        gg = tc_gg(10)
-        co = coalesce_by_strips(gg, 2)
-        cp = cut_and_pile(gg, 2)
+        co = coalesce_by_strips(tc_gg(10), 2)
+        cp = cut_and_pile(10, 2)
         assert co.max_local_storage > 10
         assert cp.report.memory_words > 0  # external, not per-cell
 
@@ -52,9 +56,8 @@ class TestCoalescing:
 
 class TestCutAndPile:
     def test_linear_and_mesh(self) -> None:
-        gg = tc_gg(8)
-        lin = cut_and_pile(gg, 4, "linear")
-        mesh = cut_and_pile(gg, 4, "mesh")
+        lin = cut_and_pile(8, 4, "linear")
+        mesh = cut_and_pile(8, 4, "mesh")
         assert lin.report.geometry == "linear"
         assert mesh.report.geometry == "mesh"
         assert lin.exec_plan.stall_cycles == 0
@@ -62,10 +65,10 @@ class TestCutAndPile:
 
     def test_unknown_geometry(self) -> None:
         with pytest.raises(ValueError, match="unknown geometry"):
-            cut_and_pile(tc_gg(6), 4, "torus")
+            cut_and_pile(6, 4, "torus")
 
     def test_zero_overhead(self) -> None:
-        cp = cut_and_pile(tc_gg(9), 3)
+        cp = cut_and_pile(9, 3)
         assert cp.report.overhead == 0
 
 

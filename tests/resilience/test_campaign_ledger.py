@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.arrays.vector_compile import clear_compiled_cache
 from repro.obs import runlog
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.resilience import run_campaign
@@ -25,11 +26,17 @@ def _quiet_registry():
     set_registry(previous)
 
 
-def _campaign_ledger(tmp_path, monkeypatch, name: str, jobs):
+def _campaign_ledger(tmp_path, monkeypatch, name: str, jobs,
+                     backend=None, **kw):
     d = tmp_path / name
     monkeypatch.setenv("REPRO_RUNLOG_DIR", str(d))
+    # Each CLI run starts with an empty compiled-plan cache; start every
+    # run here the same way, so cache hits left by an earlier run in
+    # this process (and inherited by forked workers) cannot differ.
+    clear_compiled_cache()
     result = run_campaign(
-        seed=0, configs=CONFIGS, jobs=jobs, record_metrics=False
+        seed=0, configs=CONFIGS, jobs=jobs, record_metrics=False,
+        backend=backend, **kw,
     )
     assert result.ok
     paths = sorted(d.glob("*.jsonl"))
@@ -57,6 +64,30 @@ def test_parallel_ledger_matches_sequential(
     assert runlog.strip_nondeterministic(par) == (
         runlog.strip_nondeterministic(seq)
     )
+
+
+@pytest.mark.parametrize("regime", [None, ["correlated", "hammer"]])
+def test_vector_campaign_ledger_parity(
+    tmp_path, monkeypatch, _quiet_registry, regime
+) -> None:
+    """The vector backend keeps the parity, with every stage span --
+    compile and replay included -- in the ledger."""
+    seq_path, seq = _campaign_ledger(
+        tmp_path, monkeypatch, "vseq", None, "vector", regime=regime
+    )
+    par_path, par = _campaign_ledger(
+        tmp_path, monkeypatch, "vpar", 2, "vector", regime=regime
+    )
+    assert seq_path.name == par_path.name
+    assert runlog.verify_ledger(seq) == []
+    assert runlog.verify_ledger(par) == []
+    assert runlog.strip_nondeterministic(par) == (
+        runlog.strip_nondeterministic(seq)
+    )
+    stages = {ev["stage"] for ev in seq if ev["event"] == "stage_start"}
+    assert {
+        "campaign.config", "campaign.cell", "resilience.run",
+    } <= stages
 
 
 def test_campaign_ledger_covers_pipeline_events(

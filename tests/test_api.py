@@ -46,7 +46,6 @@ PUBLIC_MODULES = [
     "repro.arrays.program",
     "repro.experiments",
     "repro.partitioning.coalescing",
-    "repro.partitioning.cut_and_pile",
     "repro.partitioning.decomposition",
     "repro.baselines.kung_fixed",
     "repro.baselines.nunez_torralba",

@@ -344,6 +344,69 @@ def test_profile_from_run(capsys, tmp_path, monkeypatch) -> None:
     assert "campaign.config" in out
 
 
+def _phase_names(node, prefix=""):
+    names = []
+    for child in node["children"]:
+        path = prefix + child["name"]
+        names += [path, *_phase_names(child, path + ";")]
+    return sorted(names)
+
+
+def test_partition_ledger_holds_pipeline_stages(capsys, tmp_path,
+                                                monkeypatch) -> None:
+    import json
+
+    from repro.obs import runlog
+
+    monkeypatch.setenv("REPRO_RUNLOG_DIR", str(tmp_path))
+    run_cli(capsys, "partition", "--n", "24", "--m", "4", "--simulate",
+            "--backend", "vector")
+    [path] = tmp_path.glob("partition-*.jsonl")
+    events, problems = runlog.read_ledger(path)
+    assert problems == []
+    assert runlog.verify_ledger(events) == []
+    stages = {
+        "frontend.tc_regular", "partition.group", "partition.select_gsets",
+        "partition.schedule", "partition.verify", "partition.evaluate",
+        "plan.partitioned", "sim.compile", "sim.vector",
+    }
+    for kind in ("stage_start", "stage_end"):
+        seen = {ev["stage"] for ev in events if ev["event"] == kind}
+        assert stages <= seen, (kind, stages - seen)
+
+    out = run_cli(capsys, "profile", "--from-run", path.stem,
+                  "--dir", str(tmp_path), "--json")
+    phases = _phase_names(json.loads(out)["phases"])
+    assert stages <= set(phases), stages - set(phases)
+
+
+def test_profile_live_tree_matches_from_run(capsys, tmp_path,
+                                            monkeypatch) -> None:
+    import json
+
+    monkeypatch.setenv("REPRO_RUNLOG_DIR", str(tmp_path))
+    live = json.loads(run_cli(capsys, "profile", "--n", "9", "--m", "3",
+                              "--json"))
+    [path] = tmp_path.glob("profile-*.jsonl")
+    past = json.loads(run_cli(capsys, "profile", "--from-run", path.stem,
+                              "--dir", str(tmp_path), "--json"))
+    names = _phase_names(live["phases"])
+    assert "profile.config;partition.group" in names
+    assert names == _phase_names(past["phases"])
+
+
+def test_profile_tree_without_ledger(capsys, tmp_path, monkeypatch) -> None:
+    import json
+
+    monkeypatch.setenv("REPRO_RUNLOG_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_RUNLOG", "0")
+    doc = json.loads(run_cli(capsys, "profile", "--n", "6", "--m", "3",
+                             "--json"))
+    assert "profile.config;sim.simulate" in _phase_names(doc["phases"])
+    assert doc["self_sum_s"] == pytest.approx(doc["wall_s"], rel=0.05)
+    assert list(tmp_path.glob("*.jsonl")) == []
+
+
 def test_profile_usage_errors(tmp_path) -> None:
     assert main(["profile", "--experiment", "F18", "--n", "9"]) == 2
     assert main(["profile", "--experiment", "NOPE"]) == 2
