@@ -10,7 +10,7 @@ setup(
         "(Moreno & Lang, 1988) - full reproduction"
     ),
     python_requires=">=3.10",
-    install_requires=["numpy>=2.0", "networkx", "scipy"],
+    install_requires=["numpy>=2.0", "networkx"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     package_dir={"": "src"},
     packages=find_packages(where="src"),

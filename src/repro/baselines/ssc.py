@@ -14,19 +14,21 @@ which benchmark them on SNAP Kronecker graphs — exactly the datasets
   graphs the partitioned-array simulation runs, for the benchmark
   tables.
 
-The three variants differ only in the reach-set representation:
+All three walk the dataset's one CSR adjacency
+(:attr:`~repro.datasets.core.GraphDataset.csr`) and differ only in the
+visited-set representation:
 
 ``ssc1``
-    Hash-set BFS per source (the paper's dictionary variant).
+    Hash-set BFS per source over CSR neighbour lists (the paper's
+    dictionary variant).
 ``ssc2``
-    Bit-packed BFS per source: the frontier's adjacency rows are OR-ed
-    word-parallel (the "boolean array" trick, ``bitarray`` in the
-    original, ``uint64`` NumPy words here — see
-    :mod:`repro.core.bitmatrix`).
+    Visited-row BFS per source: one flag per vertex (the "boolean
+    array" trick, ``bitarray`` in the original), each frontier's
+    neighbours gathered from the CSR in one vectorised step.
 ``ssc12``
     The hybrid: each source starts in set mode and promotes itself to
-    bit-packed mode once its reach set passes ``alpha * n`` vertices or
-    a frontier passes ``beta * n`` (the original exposes the same two
+    row mode once its reach set passes ``alpha * n`` vertices or a
+    frontier passes ``beta * n`` (the original exposes the same two
     cutoff knobs; ``alpha=1/8``, ``beta=1/128`` are its suggested
     defaults).
 
@@ -38,11 +40,12 @@ dataset closure engines and the simulated arrays.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.bitmatrix import WORD_BITS, words_per_row
+from ..core.bitmatrix import pack_rows, words_per_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datasets.core import GraphDataset
@@ -63,75 +66,99 @@ def _resolve_sources(n: int, sources: Sequence[int] | None) -> np.ndarray:
     return idx
 
 
-def _adjacency_sets(ds: "GraphDataset") -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(ds.n)]
-    for src, dst in ds.edges.tolist():
-        adj[src].add(dst)
-    return adj
+def _set_search(
+    ptr: list[int],
+    adj: list[int],
+    visited: set[int],
+    frontier: list[int],
+    visit_cutoff: float,
+    frontier_cutoff: float,
+) -> list[int]:
+    """Set-mode BFS over CSR neighbour lists (grows ``visited``).
+
+    Expands whole frontiers while ``visited`` holds at most
+    ``visit_cutoff`` vertices and the frontier at most
+    ``frontier_cutoff``; returns the frontier it stopped at (empty once
+    the search is complete).
+    """
+    while frontier and (
+        len(visited) <= visit_cutoff and len(frontier) <= frontier_cutoff
+    ):
+        nxt: list[int] = []
+        for u in frontier:
+            for v in adj[ptr[u] : ptr[u + 1]]:
+                if v not in visited:
+                    visited.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return frontier
 
 
-def _set_to_row(visited: set[int], nw: int) -> np.ndarray:
-    row = np.zeros(nw, dtype=np.uint64)
-    if visited:
-        idx = np.fromiter(visited, dtype=np.int64, count=len(visited))
-        np.bitwise_or.at(
-            row,
-            idx >> 6,
-            np.uint64(1) << (idx & 63).astype(np.uint64),
+def _row_search(
+    indptr: np.ndarray, indices: np.ndarray, seen: np.ndarray, front: np.ndarray
+) -> None:
+    """Row-mode BFS: one vectorised CSR gather per frontier (grows ``seen``).
+
+    ``seen`` is the source's visited row, one flag per vertex.
+    """
+    while front.size:
+        starts = indptr[front]
+        lens = indptr[front + 1] - starts
+        total = int(lens.sum())
+        if not total:
+            break
+        # Edge positions of every frontier vertex, concatenated.
+        offs = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        nbrs = indices[offs + np.arange(total)]
+        level = np.zeros_like(seen)
+        level[nbrs[~seen[nbrs]]] = True
+        seen |= level
+        front = np.flatnonzero(level)
+
+
+def _search_rows(
+    ds: "GraphDataset",
+    sources: Sequence[int] | None,
+    visit_cutoff: float,
+    frontier_cutoff: float,
+) -> np.ndarray:
+    """Packed reach rows, one per source, of the shared SSC search.
+
+    Each source runs :func:`_set_search` within the cutoffs and, if a
+    frontier is left, finishes with :func:`_row_search`.  Infinite
+    cutoffs never promote (SSC1); negative ones promote at once (SSC2).
+    """
+    src_ids = _resolve_sources(ds.n, sources)
+    indptr, indices = ds.csr
+    ptr, adj = indptr.tolist(), indices.tolist()
+    rows = np.zeros((src_ids.size, words_per_row(ds.n)), dtype=np.uint64)
+    for out, s in enumerate(src_ids.tolist()):
+        visited = {s}
+        frontier = _set_search(
+            ptr, adj, visited, [s], visit_cutoff, frontier_cutoff
         )
-    return row
-
-
-def _bits_to_indices(row: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(
-        np.unpackbits(row.view(np.uint8), bitorder="little")
-    ).astype(np.int64)
+        seen = np.zeros(ds.n, dtype=np.bool_)
+        seen[list(visited)] = True
+        if frontier:  # promoted: finish with a visited row
+            _row_search(
+                indptr, indices, seen, np.asarray(frontier, dtype=np.int64)
+            )
+        rows[out] = pack_rows(seen[None, :])[0]
+    return rows
 
 
 def ssc1(
     ds: "GraphDataset", sources: Sequence[int] | None = None
 ) -> np.ndarray:
     """Set-based per-source closure (SSC1): hash-set BFS per source."""
-    src_ids = _resolve_sources(ds.n, sources)
-    adj = _adjacency_sets(ds)
-    nw = words_per_row(ds.n)
-    rows = np.zeros((src_ids.size, nw), dtype=np.uint64)
-    for out, s in enumerate(src_ids.tolist()):
-        visited = {s}
-        frontier = [s]
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in visited:
-                        visited.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        rows[out] = _set_to_row(visited, nw)
-    return rows
+    return _search_rows(ds, sources, math.inf, math.inf)
 
 
 def ssc2(
     ds: "GraphDataset", sources: Sequence[int] | None = None
 ) -> np.ndarray:
-    """Bit-packed per-source closure (SSC2): word-parallel frontier BFS."""
-    src_ids = _resolve_sources(ds.n, sources)
-    nw = words_per_row(ds.n)
-    adjw = ds.packed_adjacency()
-    rows = np.zeros((src_ids.size, nw), dtype=np.uint64)
-    for out, s in enumerate(src_ids.tolist()):
-        reach = np.zeros(nw, dtype=np.uint64)
-        reach[s >> 6] |= np.uint64(1) << np.uint64(s & (WORD_BITS - 1))
-        frontier = np.asarray([s], dtype=np.int64)
-        while frontier.size:
-            grown = np.bitwise_or.reduce(adjw[frontier], axis=0)
-            fresh = grown & ~reach
-            if not fresh.any():
-                break
-            reach |= fresh
-            frontier = _bits_to_indices(fresh)
-        rows[out] = reach
-    return rows
+    """Visited-row per-source closure (SSC2): vectorised frontier BFS."""
+    return _search_rows(ds, sources, -1, -1)
 
 
 def ssc12(
@@ -141,45 +168,15 @@ def ssc12(
     alpha: float = SSC_ALPHA,
     beta: float = SSC_BETA,
 ) -> np.ndarray:
-    """Hybrid closure (SSC12): set mode, promoted to bit-packed mode.
+    """Hybrid closure (SSC12): set mode, promoted to row mode.
 
     A source's search runs SSC1-style until its reach set exceeds
     ``alpha * n`` vertices or one frontier exceeds ``beta * n``; it then
-    packs the state and finishes SSC2-style.  Sparse reach sets never
-    pay the packed-row cost; dense ones never pay per-edge set inserts.
+    moves its state into a visited row and finishes SSC2-style.  Sparse
+    reach sets never pay for an ``n``-flag row; dense ones never pay
+    per-edge set inserts.
     """
-    src_ids = _resolve_sources(ds.n, sources)
-    adj = _adjacency_sets(ds)
-    adjw = ds.packed_adjacency()
-    nw = words_per_row(ds.n)
-    visit_cutoff = alpha * ds.n
-    frontier_cutoff = beta * ds.n
-    rows = np.zeros((src_ids.size, nw), dtype=np.uint64)
-    for out, s in enumerate(src_ids.tolist()):
-        visited = {s}
-        frontier = [s]
-        while frontier and (
-            len(visited) <= visit_cutoff and len(frontier) <= frontier_cutoff
-        ):
-            nxt: list[int] = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in visited:
-                        visited.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        reach = _set_to_row(visited, nw)
-        if frontier:  # promoted: finish word-parallel
-            front = np.asarray(frontier, dtype=np.int64)
-            while front.size:
-                grown = np.bitwise_or.reduce(adjw[front], axis=0)
-                fresh = grown & ~reach
-                if not fresh.any():
-                    break
-                reach |= fresh
-                front = _bits_to_indices(fresh)
-        rows[out] = reach
-    return rows
+    return _search_rows(ds, sources, alpha * ds.n, beta * ds.n)
 
 
 #: Baseline name -> callable, for CLI/benchmark dispatch.

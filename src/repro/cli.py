@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "lint the plan it fingerprinted (implies "
                         "--planner)")
     s.add_argument("--dir", metavar="DIR", default=None,
-                   help="run-ledger directory for --from-run "
+                   help="run-ledger directory for --from-run, where "
+                        "this run's own ledger goes too "
                         "(default: runs/ or REPRO_RUNLOG_DIR)")
     s.add_argument("--baseline", metavar="FILE", default=None,
                    help="suppress warn/info findings recorded in this "
@@ -322,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rebuild the phase profile from a past run's "
                         "ledger instead of running anything")
     s.add_argument("--dir", default=None, metavar="DIR",
-                   help="with --from-run: ledger directory (default: "
+                   help="with --from-run: ledger directory, where "
+                        "this run's own ledger goes too (default: "
                         "REPRO_RUNLOG_DIR or ./runs)")
 
     s = sub.add_parser(
@@ -830,16 +832,20 @@ def _cmd_closure(args) -> int:
     from .datasets import DatasetError, compute_closure, resolve_dataset
     from .datasets.closure import DENSE_CUTOFF
     from .obs import runlog
+    from .obs.tracing import stage_span
 
     try:
-        ds = resolve_dataset(args.dataset, n=args.n, remap=args.remap)
+        with stage_span("dataset.load", spec=args.dataset):
+            ds = resolve_dataset(args.dataset, n=args.n, remap=args.remap)
     except DatasetError as exc:
         print(f"closure: {exc}", file=sys.stderr)
         return 2
     runlog.emit("dataset", **ds.describe())
 
     t0 = perf_counter()
-    res = compute_closure(ds, args.engine)
+    with stage_span("closure.compute", engine=args.engine) as sp:
+        res = compute_closure(ds, args.engine)
+        sp.tag("kernel", res.kernel)
     wall = perf_counter() - t0
     # One popcount per result: the summary and the ledger share it.
     closure_edges = res.closure_edges
@@ -866,7 +872,9 @@ def _cmd_closure(args) -> int:
             else _sample_sources(ds.n, args.check_sources)
         )
         t0 = perf_counter()
-        other = compute_closure(ds, args.check, sources=srcs)
+        with stage_span("closure.check", engine=args.check) as sp:
+            other = compute_closure(ds, args.check, sources=srcs)
+            sp.tag("sources", int(len(other.sources)))
         check_wall = perf_counter() - t0
         mine = res.words if srcs is None else res.words[srcs]
         agree = bool(np.array_equal(mine, other.words))
@@ -1441,6 +1449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             k: v for k, v in sorted(vars(args).items())
             if k not in ("command", "jobs")
         }
-        with runlog.run_scope(args.command, params):
+        # A verb reading a ledger from --dir records its own run there.
+        from_run = getattr(args, "from_run", None) is not None
+        ledger_dir = getattr(args, "dir", None) if from_run else None
+        with runlog.run_scope(args.command, params, dir=ledger_dir):
             return handler(args)
     return handler(args)

@@ -13,9 +13,10 @@ engines compute the same closure relation on 10k+-vertex datasets:
     The bit-packed boolean path.  Dense graphs (``n <= dense_cutoff``)
     run the packed Warshall sweep of
     :func:`repro.core.bitmatrix.closure_words`; larger graphs condense
-    strongly-connected components first and union packed reach rows in
-    reverse topological order, so the cost scales with the condensation
-    DAG instead of ``n^3/64``.
+    strongly-connected components first (an iterative Tarjan over the
+    dataset's CSR) and union packed reach rows in reverse topological
+    order, so the cost scales with the condensation DAG instead of
+    ``n^3/64``.
 ``ssc1`` / ``ssc2`` / ``ssc12``
     The per-source baselines of :mod:`repro.baselines.ssc`.
 
@@ -93,76 +94,82 @@ class ClosureResult:
         )
 
 
-def _toposort_dag(n_nodes: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Kahn's algorithm over a DAG given as parallel edge arrays."""
-    indeg = np.bincount(tails, minlength=n_nodes)
-    order = np.argsort(heads, kind="stable")
-    heads_s, tails_s = heads[order], tails[order]
-    indptr = np.searchsorted(heads_s, np.arange(n_nodes + 1))
-    ready = [int(v) for v in np.flatnonzero(indeg == 0)]
-    topo = np.empty(n_nodes, dtype=np.int64)
-    filled = 0
-    while ready:
-        u = ready.pop()
-        topo[filled] = u
-        filled += 1
-        for v in tails_s[indptr[u] : indptr[u + 1]].tolist():
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if filled != n_nodes:  # pragma: no cover - condensations are acyclic
-        raise DatasetError("shape", "condensation graph has a cycle")
-    return topo
+def _scc_labels(ds: GraphDataset) -> tuple[int, np.ndarray]:
+    """Strongly connected components by an iterative Tarjan over ``ds.csr``.
+
+    Returns ``(ncomp, labels)``.  Tarjan closes a component only after
+    every component it reaches, so labels number the condensation DAG
+    in reverse topological order: every cross edge runs from a higher
+    label to a lower one.
+    """
+    indptr, indices = ds.csr
+    ptr, adj = indptr.tolist(), indices.tolist()
+    n = ds.n
+    index = [-1] * n
+    low = [0] * n
+    label = [-1] * n
+    cursor = ptr[:-1]  # next unexplored edge of each vertex
+    stack: list[int] = []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        calls = [root]
+        while calls:
+            v = calls[-1]
+            i, end = cursor[v], ptr[v + 1]
+            while i < end:
+                w = adj[i]
+                i += 1
+                if index[w] < 0:  # tree edge: descend into w
+                    cursor[v] = i
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    calls.append(w)
+                    break
+                if label[w] < 0 and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:  # v is finished
+                calls.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                if calls and low[v] < low[calls[-1]]:
+                    low[calls[-1]] = low[v]
+    return ncomp, np.asarray(label, dtype=np.int64)
 
 
 def _closure_scc_packed(ds: GraphDataset) -> np.ndarray:
     """Full reflexive closure via SCC condensation + packed row unions."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     n = ds.n
-    nw = words_per_row(n)
-    if not ds.m:
-        words = np.zeros((n, nw), dtype=np.uint64)
-        if n:
-            idx = np.arange(n)
-            words[idx, idx >> 6] |= np.uint64(1) << (idx & 63).astype(np.uint64)
-        return words
-    src, dst = ds.edges[:, 0], ds.edges[:, 1]
-    graph = csr_matrix(
-        (np.ones(ds.m, dtype=np.int8), (src, dst)), shape=(n, n)
-    )
-    ncomp, labels = connected_components(
-        graph, directed=True, connection="strong"
-    )
-    # Membership bitmask of every component, in vertex space.
-    members = np.zeros((ncomp, nw), dtype=np.uint64)
+    ncomp, labels = _scc_labels(ds)
+    # Membership bitmask of every component, in vertex space; it grows
+    # into the component's reach row.
+    reach = np.zeros((ncomp, words_per_row(n)), dtype=np.uint64)
     verts = np.arange(n)
     np.bitwise_or.at(
-        members,
+        reach,
         (labels, verts >> 6),
         np.uint64(1) << (verts & 63).astype(np.uint64),
     )
-    # Condensation DAG (distinct cross-component edges).
-    cu, cv = labels[src], labels[dst]
+    # Distinct cross-component edges, grouped by head component.
+    cu, cv = labels[ds.edges[:, 0]], labels[ds.edges[:, 1]]
     cross = cu != cv
-    if cross.any():
-        cedges = np.unique(
-            np.stack([cu[cross], cv[cross]], axis=1), axis=0
-        )
-        topo = _toposort_dag(ncomp, cedges[:, 0], cedges[:, 1])
-        order = np.argsort(cedges[:, 0], kind="stable")
-        heads, tails = cedges[order, 0], cedges[order, 1]
-        indptr = np.searchsorted(heads, np.arange(ncomp + 1))
-    else:
-        topo = np.arange(ncomp, dtype=np.int64)
-        tails = np.empty(0, dtype=np.int64)
-        indptr = np.zeros(ncomp + 1, dtype=np.int64)
-    reach = members.copy()
-    for c in topo[::-1].tolist():
-        succ = tails[indptr[c] : indptr[c + 1]]
-        if succ.size:
-            reach[c] |= np.bitwise_or.reduce(reach[succ], axis=0)
+    keys = np.unique(cu[cross] * ncomp + cv[cross])
+    heads, tails = keys // ncomp, keys % ncomp
+    cptr = np.searchsorted(heads, np.arange(ncomp + 1))
+    # Ascending labels are reverse topological: successors finish first.
+    for c in np.flatnonzero(np.diff(cptr)).tolist():
+        succ = tails[cptr[c] : cptr[c + 1]]
+        reach[c] |= np.bitwise_or.reduce(reach[succ], axis=0)
     return reach[labels]
 
 

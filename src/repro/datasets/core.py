@@ -20,6 +20,7 @@ and the SSC baselines share):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -79,6 +80,22 @@ class GraphDataset:
         """Distinct edge count."""
         return int(self.edges.shape[0])
 
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Compressed sparse rows ``(indptr, indices)``, built once.
+
+        ``edges`` is lex-sorted, so the out-neighbours of ``v`` are
+        ``indices[indptr[v]:indptr[v + 1]]`` in ascending order.  Every
+        sparse kernel (the SCC closure and the SSC baselines) reads this
+        one adjacency.  Cached outside the dataclass fields, so equality
+        stays field-based.
+        """
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        if self.m:
+            np.cumsum(np.bincount(self.edges[:, 0], minlength=self.n),
+                      out=indptr[1:])
+        return indptr, np.ascontiguousarray(self.edges[:, 1])
+
     @property
     def self_loops(self) -> int:
         """Number of ``(v, v)`` edges present."""
@@ -116,10 +133,7 @@ class GraphDataset:
 
     def out_degrees(self) -> np.ndarray:
         """Out-degree of every vertex."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        if self.m:
-            np.add.at(deg, self.edges[:, 0], 1)
-        return deg
+        return np.diff(self.csr[0])
 
     def describe(self) -> dict[str, Any]:
         """Summary row for tables, ledgers and the dashboard."""
@@ -137,6 +151,27 @@ class GraphDataset:
                 if isinstance(v, (str, int, float, bool))
             },
         }
+
+
+#: Largest ``n`` whose ``src * n + dst`` keys fit in one int64.
+_ONE_WORD_KEYS = 3_037_000_499
+
+
+def _distinct_rows(arr: np.ndarray, n: int) -> np.ndarray:
+    """``np.unique(arr, axis=0)`` for ids in ``[0, n)``.
+
+    Each row becomes one int64 key ``src * n + dst``, whose order is the
+    rows' lex order, so the dedup is a 1-D sort, and no sort at all when
+    the rows already are canonical (as
+    :func:`~repro.datasets.edgelist.save_edgelist` writes them).
+    """
+    if n > _ONE_WORD_KEYS:
+        return np.unique(arr, axis=0)
+    keys = arr[:, 0] * n + arr[:, 1]
+    if (np.diff(keys) > 0).all():
+        return arr.copy()
+    keys = np.unique(keys)
+    return np.stack([keys // n, keys % n], axis=1)
 
 
 def from_edges(
@@ -175,7 +210,7 @@ def from_edges(
         bad = int(np.argmax((arr < 0).any(axis=1)))
         raise DatasetError(
             "vertex-out-of-range",
-            f"negative vertex id in edge {tuple(arr[bad])}",
+            f"negative vertex id in edge {tuple(arr[bad].tolist())}",
             source=source,
         )
     remapped_from = None
@@ -199,13 +234,13 @@ def from_edges(
             bad = int(np.argmax((arr >= n).any(axis=1)))
             raise DatasetError(
                 "vertex-out-of-range",
-                f"edge {tuple(arr[bad])} exceeds n={n} "
+                f"edge {tuple(arr[bad].tolist())} exceeds n={n} "
                 "(pass remap=True to compact external id spaces)",
                 source=source,
             )
     if n < 0:
         raise DatasetError("shape", f"negative vertex count n={n}", source=source)
-    arr = np.unique(arr.reshape(-1, 2), axis=0) if raw_count else arr
+    arr = _distinct_rows(arr, n) if raw_count else arr
     info: dict[str, Any] = dict(meta or {})
     info.setdefault("duplicates_dropped", raw_count - int(arr.shape[0]))
     if remapped_from is not None:

@@ -6,6 +6,8 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import (
     DatasetError,
@@ -65,6 +67,54 @@ class TestFromEdges:
         ds = from_edges("t", [])
         assert ds.n == 0 and ds.m == 0
         assert ds.adjacency().shape == (0, 0)
+
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70)),
+                      max_size=60),
+        presort=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    def test_dedup_matches_row_unique(self, rows, presort) -> None:
+        # The one-word-key dedup must equal np.unique(axis=0) on sorted,
+        # unsorted and duplicated input.
+        arr = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+        if presort:
+            arr = np.unique(arr, axis=0)
+        ds = from_edges("t", arr, n=71)
+        expected = np.unique(arr, axis=0) if arr.size else arr
+        assert ds.edges.dtype == np.int64
+        assert np.array_equal(ds.edges, expected)
+        assert ds.meta["duplicates_dropped"] == len(arr) - len(expected)
+
+    def test_dedup_beyond_one_word_keys(self) -> None:
+        far = 4_000_000_000  # n * n overflows int64: row-wise unique
+        ds = from_edges("t", [(5, far), (0, 1), (5, far)])
+        assert ds.edges.tolist() == [[0, 1], [5, far]]
+
+    def test_canonical_input_is_copied(self) -> None:
+        arr = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        ds = from_edges("t", arr)
+        arr[0, 1] = 2
+        assert ds.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_out_of_range_message_prints_plain_ids(self) -> None:
+        with pytest.raises(DatasetError, match=r"edge \(-3, 2\)"):
+            from_edges("t", [(0, 1), (-3, 2)])
+        with pytest.raises(DatasetError, match=r"edge \(4, 2\) exceeds"):
+            from_edges("t", [(0, 1), (4, 2)], n=3)
+
+    def test_csr_is_cached_outside_the_fields(self) -> None:
+        import dataclasses
+
+        ds = from_edges("t", [(2, 1), (0, 1), (0, 0)], n=4)
+        indptr, indices = ds.csr
+        assert ds.csr[0] is indptr  # built once
+        assert indptr.tolist() == [0, 2, 2, 3, 3]
+        assert indices.tolist() == [0, 1, 1]
+        assert ds.out_degrees().tolist() == [2, 0, 1, 0]
+        names = [f.name for f in dataclasses.fields(ds)]
+        assert names == ["name", "n", "edges", "meta"]
 
     def test_packed_adjacency_matches_dense(self) -> None:
         from repro.core.bitmatrix import unpack_rows

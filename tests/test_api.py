@@ -116,15 +116,16 @@ def test_unknown_attribute_raises() -> None:
 
 
 def test_closure_verb_skips_array_pipeline_imports(tmp_path) -> None:
-    """``repro closure`` never imports networkx or the partitioner."""
+    """``repro closure`` never imports networkx, scipy or the partitioner."""
     code = (
         "import sys\n"
         "from repro.cli import main\n"
-        "rc = main(['closure', '--dataset', 'kron:scale=8', "
+        "for kron in ('kron:scale=8', 'kron:scale=12'):\n"
+        "    rc = main(['closure', '--dataset', kron, "
         "'--check', 'ssc12', '--format', 'json'])\n"
-        "assert rc == 0, rc\n"
-        "print(sorted(m for m in ('networkx', 'repro.core.partitioner') "
-        "if m in sys.modules))\n"
+        "    assert rc == 0, rc\n"
+        "print(sorted(m for m in ('networkx', 'scipy', "
+        "'repro.core.partitioner') if m in sys.modules))\n"
     )
     assert fresh_interpreter(code, tmp_path) == "[]"
 

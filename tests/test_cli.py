@@ -407,6 +407,20 @@ def test_profile_tree_without_ledger(capsys, tmp_path, monkeypatch) -> None:
     assert list(tmp_path.glob("*.jsonl")) == []
 
 
+def test_profile_from_run_records_into_dir(capsys, tmp_path,
+                                          monkeypatch) -> None:
+    led, cwd = tmp_path / "led", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("REPRO_RUNLOG_DIR", str(led))
+    run_cli(capsys, "closure", "--dataset", "kron:scale=4,edges=4")
+    [path] = led.glob("closure-*.jsonl")
+    monkeypatch.delenv("REPRO_RUNLOG_DIR")
+    run_cli(capsys, "profile", "--from-run", path.stem, "--dir", str(led))
+    assert not (cwd / "runs").exists()
+    assert list(led.glob("profile-*.jsonl"))
+
+
 def test_profile_usage_errors(tmp_path) -> None:
     assert main(["profile", "--experiment", "F18", "--n", "9"]) == 2
     assert main(["profile", "--experiment", "NOPE"]) == 2
@@ -470,6 +484,44 @@ class TestClosureVerb:
         p.write_text("0 1\n")
         assert main(["closure", "--dataset", str(p), "--n", "1"]) == 2
         assert "vertex-out-of-range" in capsys.readouterr().err
+
+    def test_truncated_gzip_exits_two_with_one_line(self, capsys,
+                                                    tmp_path) -> None:
+        import gzip
+
+        blob = gzip.compress(b"".join(b"%d %d\n" % (i, i + 1)
+                                      for i in range(400)))
+        p = tmp_path / "cut.txt.gz"
+        p.write_bytes(blob[: len(blob) // 2])
+        assert main(["closure", "--dataset", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("closure: io: ") and err.count("\n") == 1
+
+    def test_ledger_holds_layer_tree(self, capsys, tmp_path,
+                                     monkeypatch) -> None:
+        import json
+
+        from repro.obs import runlog
+
+        monkeypatch.setenv("REPRO_RUNLOG_DIR", str(tmp_path))
+        run_cli(capsys, "closure", "--dataset", "kron:scale=12,edges=4",
+                "--check", "ssc12")
+        [path] = tmp_path.glob("closure-*.jsonl")
+        events, problems = runlog.read_ledger(path)
+        assert problems == [] and runlog.verify_ledger(events) == []
+        ends = {ev["stage"]: ev for ev in events
+                if ev["event"] == "stage_end"}
+        assert ends["closure.compute"]["kernel"] == "bitpack-scc"
+        assert ends["closure.check"]["sources"] == 64
+        starts = {ev["stage"]: ev for ev in events
+                  if ev["event"] == "stage_start"}
+        assert starts["closure.compute"]["engine"] == "bitpack"
+        assert starts["closure.check"]["engine"] == "ssc12"
+
+        out = run_cli(capsys, "profile", "--from-run", path.stem,
+                      "--dir", str(tmp_path), "--json")
+        phases = set(_phase_names(json.loads(out)["phases"]))
+        assert {"dataset.load", "closure.compute", "closure.check"} <= phases
 
     def test_out_writes_nested_json(self, capsys, tmp_path) -> None:
         import json
