@@ -59,7 +59,8 @@ semiring whose ``(x)``-identity sits on the diagonal; see
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Iterator, Mapping, MutableMapping
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -75,6 +76,8 @@ __all__ = [
     "tc_regular",
     "tc_stage",
     "TC_STAGES",
+    "InputGrid",
+    "OutputGrid",
     "make_inputs",
     "read_output_matrix",
     "run_graph",
@@ -432,25 +435,131 @@ def tc_stage(stage: str, n: int) -> DependenceGraph:
 # I/O helpers
 # ----------------------------------------------------------------------
 
-def make_inputs(a: np.ndarray, semiring: Semiring = BOOLEAN) -> dict[NodeId, Any]:
+class _LazyDict:
+    """Mapping reads delegated to the dict a subclass's ``_dict`` builds."""
+
+    __slots__ = ()
+
+    def _dict(self) -> dict[NodeId, Any]:
+        raise NotImplementedError
+
+    def __getitem__(self, key: NodeId) -> Any:
+        return self._dict()[key]
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._dict()
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+
+class InputGrid(_LazyDict, MutableMapping):
+    """``("in", i, j)`` input environment backed by an ``n x n`` matrix.
+
+    The vector backend binds :attr:`matrix` straight into a compiled
+    replay (one scatter, see :meth:`CompiledPlan.replay
+    <repro.arrays.vector_compile.CompiledPlan.replay>`), the way the
+    paper's host streams matrix rows and columns into the array.  Every
+    other consumer (the reference interpreter, :func:`evaluate`, the
+    resilient runtime) reads it as a mapping: the first key access,
+    iteration or ``len`` builds a dict of native Python scalars
+    (``.item()`` semantics) and every later access goes through it.
+
+    Any mutation builds that dict first and then *detaches* the matrix
+    (:attr:`matrix` becomes ``None``): from then on the object is a plain
+    mapping, so a replay can never bind values the mapping no longer
+    holds.
+    """
+
+    __slots__ = ("matrix", "_env")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+        #: the bound ``n x n`` semiring matrix; ``None`` once mutated
+        self.matrix: np.ndarray | None = matrix
+        self._env: dict[NodeId, Any] | None = None
+
+    def _dict(self) -> dict[NodeId, Any]:
+        env = self._env
+        if env is None:
+            m = self.matrix
+            assert m is not None  # detaching always builds the dict first
+            n = m.shape[0]
+            keys = [("in", i, j) for i in range(n) for j in range(n)]
+            env = dict(zip(keys, m.ravel().tolist()))
+            self._env = env
+        return env
+
+    def __setitem__(self, key: NodeId, value: Any) -> None:
+        env = self._dict()
+        self.matrix = None
+        env[key] = value
+
+    def __delitem__(self, key: NodeId) -> None:
+        env = self._dict()
+        self.matrix = None
+        del env[key]
+
+
+class OutputGrid(_LazyDict, Mapping):
+    """Read-only ``("out", i, j)`` view over a replay's result matrix.
+
+    The compiled replay writes its outputs as one ``n x n`` array
+    (:attr:`grid`); the keyed dict — numpy scalars, in the graph's
+    output order — is built only when something reads the mapping.
+    :func:`read_output_matrix` copies :attr:`grid` without it.
+    """
+
+    __slots__ = ("grid", "_ids", "_env")
+
+    def __init__(self, grid: np.ndarray, ids: Sequence[Any]) -> None:
+        #: the ``n x n`` result matrix; ``ids`` are exactly its positions
+        self.grid = grid
+        self._ids = ids
+        self._env: dict[NodeId, Any] | None = None
+
+    def _dict(self) -> dict[NodeId, Any]:
+        env = self._env
+        if env is None:
+            n = self.grid.shape[1]
+            flat = self.grid.reshape(-1)
+            env = {nid: flat[nid[1] * n + nid[2]] for nid in self._ids}
+            self._env = env
+        return env
+
+
+def make_inputs(a: np.ndarray, semiring: Semiring = BOOLEAN) -> InputGrid:
     """Input environment for any TC stage from a matrix ``a``.
 
     The diagonal is forced to the semiring's diagonal element (Warshall's
-    precondition).
+    precondition).  The result holds its own copy of the matrix, so
+    later changes to ``a`` do not reach it.
     """
-    m = semiring.matrix(a)
-    n = m.shape[0]
-    return {("in", i, j): m[i, j].item() for i in range(n) for j in range(n)}
+    return InputGrid(semiring.matrix(a))
 
 
 def read_output_matrix(
-    outputs: Mapping[NodeId, Any], n: int, semiring: Semiring = BOOLEAN
+    outputs: Mapping[Any, Any],
+    n: int,
+    semiring: Semiring = BOOLEAN,
+    prefix: tuple = ("out",),
 ) -> np.ndarray:
-    """Assemble the ``("out", i, j)`` values into a matrix."""
+    """Assemble the ``prefix + (i, j)`` values into an ``n x n`` matrix.
+
+    The one output assembler: an :class:`OutputGrid` of size ``n`` is
+    copied as a whole (``astype`` to ``semiring.dtype``); any other
+    mapping is read key by key, and a missing key raises ``KeyError``.
+    """
+    if isinstance(outputs, OutputGrid) and outputs.grid.shape == (n, n):
+        return outputs.grid.astype(semiring.dtype)
     m = np.empty((n, n), dtype=semiring.dtype)
     for i in range(n):
         for j in range(n):
-            m[i, j] = outputs[("out", i, j)]
+            m[i, j] = outputs[prefix + (i, j)]
     return m
 
 

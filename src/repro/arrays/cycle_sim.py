@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Hashable, Mapping
 
 import numpy as np
 
+from ..algorithms.transitive_closure import read_output_matrix
 from ..core.evaluate import OPCODE_SEMANTICS
 from ..core.graph import DependenceGraph, GraphError, NodeId, NodeKind
 from ..core.semiring import BOOLEAN, Semiring
@@ -83,7 +84,10 @@ class SimulationError(GraphError):
 class SimResult:
     """Everything measured during one simulated execution."""
 
-    outputs: dict[NodeId, Any]
+    #: output node -> value; a compiled replay of an ``("out", i, j)``
+    #: grid carries an array-backed
+    #: :class:`~repro.algorithms.transitive_closure.OutputGrid` here
+    outputs: Mapping[NodeId, Any]
     makespan: int
     cells: int
     busy: int
@@ -164,12 +168,12 @@ class SimResult:
         return Fraction(len(self.input_deadlines), self.makespan)
 
     def output_matrix(self, n: int, semiring: Semiring = BOOLEAN) -> np.ndarray:
-        """Assemble ``("out", i, j)`` outputs into a matrix."""
-        m = np.empty((n, n), dtype=semiring.dtype)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = self.outputs[("out", i, j)]
-        return m
+        """Assemble ``("out", i, j)`` outputs into a fresh matrix.
+
+        A compiled replay's array-backed outputs are copied as a whole;
+        see :func:`~repro.algorithms.transitive_closure.read_output_matrix`.
+        """
+        return read_output_matrix(self.outputs, n, semiring)
 
 
 def cell_fire_counts(probe: "Probe") -> dict[Hashable, int]:

@@ -22,6 +22,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from ..algorithms.transitive_closure import read_output_matrix
 from ..core.graph import DependenceGraph, NodeId, NodeKind, PortRef
 from ..core.semiring import BOOLEAN, Semiring
 from ..obs.tracing import stage_span
@@ -109,10 +110,7 @@ class ChainedRun:
 
     def output_matrix(self, instance: int, n: int, semiring: Semiring = BOOLEAN) -> np.ndarray:
         """Result matrix of one instance."""
-        m = np.empty((n, n), dtype=semiring.dtype)
-        for (i, j), value in self.outputs[instance].items():
-            m[i, j] = value
-        return m
+        return read_output_matrix(self.outputs[instance], n, semiring, prefix=())
 
     @property
     def measured_initiation_interval(self) -> float:

@@ -25,11 +25,25 @@ the graph structure, the plan's fires/regions/topology and the semiring
 (see :func:`plan_fingerprint`), so ``repro bench``, ``repro faults`` and
 ``verify_implementation`` all share one compile per configuration.
 
+Grid binding: when the plan's input ids are exactly the ``("in", i, j)``
+grid, the compile records an ``i*n + j -> slot`` permutation
+(:attr:`CompiledPlan.input_grid`), and a replay given an attached
+:class:`~repro.algorithms.transitive_closure.InputGrid` of that size and
+dtype (what ``make_inputs`` returns) scatters its matrix in one step and
+skips the per-id missing-input scan.  Any other mapping — a plain dict,
+a mutated (detached) grid, another size or dtype — takes the mapping
+path: one lookup per input id, with the reference's missing-input
+error.  Likewise an ``("out", i, j)`` output grid is gathered into one
+array (:attr:`CompiledPlan.output_grid`) and ``SimResult.outputs`` is an
+:class:`~repro.algorithms.transitive_closure.OutputGrid`, a mapping that
+builds its dict only when read; ``output_matrix`` copies the array.
+
 Scalar caveat: the reference interpreter computes on whatever scalar
-objects the inputs carry (``make_inputs`` yields native Python scalars),
-while the replay computes on ``semiring.dtype`` arrays.  Values are
-equal under ``==`` and :meth:`SimResult.output_matrix` is bit-identical;
-only the Python object types of ``outputs`` values differ.
+objects the mapping yields (an ``InputGrid`` yields native Python
+scalars), while the replay computes on ``semiring.dtype`` arrays.
+Values are equal under ``==`` and :meth:`SimResult.output_matrix` is
+bit-identical; only the Python object types of ``outputs`` values
+differ (numpy scalars on the replay).
 """
 
 from __future__ import annotations
@@ -39,10 +53,11 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable, Mapping
+from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
+from ..algorithms.transitive_closure import InputGrid, OutputGrid
 from ..core.bitmatrix import bit_column, pack_rows, unpack_rows
 from ..core.evaluate import OPCODE_SEMANTICS
 from ..core.graph import DependenceGraph, GraphError, NodeId, NodeKind
@@ -112,26 +127,51 @@ class BitpackProgram:
     ``n x n`` input grid, the replay can skip the batched slot steps
     entirely and run the packed kernel of
     :mod:`repro.core.bitmatrix` instead — the SSC2 bitarray trick,
-    NumPy-native.  ``input_index``/``output_index`` map the plan's
-    input/output node order onto flat ``i*n + j`` matrix positions.
+    NumPy-native.  The input and output grids are the plan's
+    :attr:`CompiledPlan.input_grid` / :attr:`CompiledPlan.output_grid`.
     """
 
     n: int
-    input_index: np.ndarray
-    output_index: np.ndarray
+
+
+def _grid_slots(
+    ids: tuple[NodeId, ...], slots: Sequence[int], head: str
+) -> np.ndarray | None:
+    """``i*n + j -> slot`` when ``ids`` are exactly the ``(head, i, j)`` grid.
+
+    ``None`` for any other id set (wrong count, another head, an index
+    out of range or not an ``int``).  Node ids are unique, so ``n*n``
+    in-range ids cover the grid.
+    """
+    n = math.isqrt(len(ids))
+    if n < 1 or n * n != len(ids):
+        return None
+    flat_slots = np.empty(n * n, dtype=np.int64)
+    for nid, slot in zip(ids, slots):
+        if not (isinstance(nid, tuple) and len(nid) == 3 and nid[0] == head):
+            return None
+        i, j = nid[1], nid[2]
+        if not (
+            isinstance(i, int)
+            and isinstance(j, int)
+            and 0 <= i < n
+            and 0 <= j < n
+        ):
+            return None
+        flat_slots[i * n + j] = slot
+    return flat_slots
 
 
 def _detect_bitpack(
-    n_inputs: int,
-    input_ids: tuple[NodeId, ...],
-    input_slots: list[int],
-    output_ids: tuple[NodeId, ...],
-    output_slots: tuple[int, ...],
+    input_grid: np.ndarray,
+    output_grid: np.ndarray,
     op_records: list[tuple[int, int, int, int]],
 ) -> BitpackProgram | None:
     """Prove (or refuse) that the value program is boolean Warshall.
 
-    The proof is structural, not name-based: op operand slots are first
+    ``input_grid``/``output_grid`` map flat ``i*n + j`` positions to the
+    slots of the plan's ``("in", i, j)`` / ``("out", i, j)`` nodes.  The
+    proof is structural, not name-based: op operand slots are first
     collapsed into *value-equivalence classes* — a ``mac`` whose ``b``
     or ``c`` class equals its ``a`` class is absorbed over the boolean
     semiring (``a | (a & c) == a``), so its output joins ``a``'s class
@@ -143,43 +183,11 @@ def _detect_bitpack(
     reads the final class of its position.  Any mismatch returns
     ``None`` and the replay stays on the generic batched path.
     """
+    n_inputs = input_grid.size
     n = math.isqrt(n_inputs)
-    if n < 1 or n * n != n_inputs or len(op_records) != n**3:
+    if output_grid.size != n_inputs or len(op_records) != n**3:
         return None
-    if len(output_ids) != n_inputs:
-        return None
-
-    def grid_index(nid: NodeId, head: str) -> int | None:
-        if not (isinstance(nid, tuple) and len(nid) == 3 and nid[0] == head):
-            return None
-        i, j = nid[1], nid[2]
-        if (
-            isinstance(i, int)
-            and isinstance(j, int)
-            and 0 <= i < n
-            and 0 <= j < n
-        ):
-            return i * n + j
-        return None
-
-    grid: dict[int, int] = {}
-    input_index = np.empty(n_inputs, dtype=np.int64)
-    for pos, (nid, slot) in enumerate(zip(input_ids, input_slots)):
-        flat = grid_index(nid, "in")
-        if flat is None or flat in grid:
-            return None
-        grid[flat] = slot
-        input_index[pos] = flat
-    output_index = np.empty(n_inputs, dtype=np.int64)
-    out_flat: list[int] = []
-    for pos, nid in enumerate(output_ids):
-        flat = grid_index(nid, "out")
-        if flat is None:
-            return None
-        output_index[pos] = flat
-        out_flat.append(flat)
-    if len(set(out_flat)) != n_inputs:
-        return None
+    grid = input_grid.tolist()
 
     # Pass 1 (ops arrive in topological out-slot order): assign value
     # classes and index each op by its canonical operand triple.
@@ -213,12 +221,10 @@ def _detect_bitpack(
         cur = nxt
     if ops_by_key:
         return None
-    for flat, slot in zip(out_flat, output_slots):
+    for flat, slot in enumerate(output_grid.tolist()):
         if canon.get(slot, slot) != cur[flat]:
             return None
-    return BitpackProgram(
-        n=n, input_index=input_index, output_index=output_index
-    )
+    return BitpackProgram(n=n)
 
 
 @dataclass
@@ -258,22 +264,45 @@ class CompiledPlan:
     #: non-None when the program is provably boolean Warshall; replay
     #: then runs the bit-packed kernel instead of the batched steps.
     bitpack: BitpackProgram | None = None
+    #: ``i*n + j -> slot`` of input ``("in", i, j)`` when the input ids
+    #: are exactly that grid: an attached :class:`InputGrid` binds with
+    #: one scatter through it.
+    input_grid: np.ndarray | None = None
+    #: ``i*n + j -> slot`` of output ``("out", i, j)`` when the output
+    #: ids are exactly that grid: the replay gathers its outputs into one
+    #: array through it.
+    output_grid: np.ndarray | None = None
+
+    def _bound_matrix(self, inputs: Mapping[NodeId, Any]) -> np.ndarray | None:
+        """The matrix of an attached, plan-sized :class:`InputGrid`.
+
+        ``None`` sends the replay down the mapping path (any other
+        mapping, a detached or wrong-sized grid, another dtype).
+        """
+        if not isinstance(inputs, InputGrid) or self.input_grid is None:
+            return None
+        m = inputs.matrix
+        if m is None or m.size != self.input_grid.size or m.dtype != self.dtype:
+            return None
+        return m
 
     def _raise_entry_errors(
-        self, inputs: Mapping[NodeId, Any], strict: bool
+        self, inputs: Mapping[NodeId, Any], strict: bool, complete: bool
     ) -> None:
         """Reproduce the reference error order for a doomed replay.
 
         The interpreter raises a missing-input :class:`GraphError` when
         the walk *reaches* that input node, and (under ``strict``) a
         :class:`SimulationError` when it reaches the first violating
-        consumer — whichever position comes first wins.
+        consumer — whichever position comes first wins.  A ``complete``
+        input grid supplies every input, so only the violation remains.
         """
         missing: tuple[int, NodeId] | None = None
-        for nid, pos in zip(self.input_ids, self.input_pos):
-            if nid not in inputs:
-                missing = (pos, nid)
-                break
+        if not complete:
+            for nid, pos in zip(self.input_ids, self.input_pos):
+                if nid not in inputs:
+                    missing = (pos, nid)
+                    break
         if strict and self.violations:
             vpos = self.violation_pos[0]
             if missing is not None and missing[0] < vpos:
@@ -292,17 +321,22 @@ class CompiledPlan:
     ) -> SimResult:
         """Run the compiled program against fresh input values.
 
+        An attached :class:`InputGrid` of the plan's size is bound from
+        its matrix in one scatter; any other mapping is read key by key.
         ``kprof`` (a :class:`~repro.obs.profile.KernelProfiler`) times
         each batch step; when ``None`` (the default) the hot loop is
         exactly the unprofiled one — zero overhead when off.
         """
-        self._raise_entry_errors(inputs, strict)
+        matrix = self._bound_matrix(inputs)
+        self._raise_entry_errors(inputs, strict, complete=matrix is not None)
         if self.bitpack is not None:
-            return self._replay_bitpack(inputs, kprof)
+            return self._replay_bitpack(inputs, matrix, kprof)
         vals = np.empty(self.n_slots, dtype=self.dtype)
         if self.const_slots.size:
             vals[self.const_slots] = self.const_values
-        if self.input_slots.size:
+        if matrix is not None:
+            vals[self.input_grid] = matrix.reshape(-1)
+        elif self.input_slots.size:
             vals[self.input_slots] = np.asarray(
                 [inputs[nid] for nid in self.input_ids], dtype=self.dtype
             )
@@ -331,6 +365,10 @@ class CompiledPlan:
                     depth=step.depth,
                     backend="vector",
                 )
+        if self.output_grid is not None:
+            n = math.isqrt(self.output_grid.size)
+            grid = vals[self.output_grid].reshape(n, n)
+            return self._result(OutputGrid(grid, self.output_ids))
         outputs: dict[NodeId, Any] = {
             nid: vals[slot]
             for nid, slot in zip(self.output_ids, self.output_slots)
@@ -340,6 +378,7 @@ class CompiledPlan:
     def _replay_bitpack(
         self,
         inputs: Mapping[NodeId, Any],
+        matrix: np.ndarray | None,
         kprof: "KernelProfiler | None" = None,
     ) -> SimResult:
         """Replay via the packed Warshall kernel (64 columns per op).
@@ -354,11 +393,12 @@ class CompiledPlan:
         bp = self.bitpack
         assert bp is not None
         n = bp.n
-        flat = np.empty(n * n, dtype=np.bool_)
-        flat[bp.input_index] = np.asarray(
-            [inputs[nid] for nid in self.input_ids], dtype=np.bool_
-        )
-        words = pack_rows(flat.reshape(n, n))
+        if matrix is None:
+            matrix = np.asarray(
+                [inputs[("in", i, j)] for i in range(n) for j in range(n)],
+                dtype=np.bool_,
+            ).reshape(n, n)
+        words = pack_rows(matrix)
         if kprof is None:
             for k in range(n):
                 mask = bit_column(words, k)
@@ -380,14 +420,10 @@ class CompiledPlan:
                     depth=k + 1,
                     backend="vector",
                 )
-        closed = unpack_rows(words, n).reshape(-1)
-        outputs: dict[NodeId, Any] = {
-            nid: closed[idx]
-            for nid, idx in zip(self.output_ids, bp.output_index.tolist())
-        }
-        return self._result(outputs)
+        grid = unpack_rows(words, n)
+        return self._result(OutputGrid(grid, self.output_ids))
 
-    def _result(self, outputs: dict[NodeId, Any]) -> SimResult:
+    def _result(self, outputs: Mapping[NodeId, Any]) -> SimResult:
         return SimResult(
             outputs=outputs,
             makespan=self.makespan,
@@ -594,6 +630,8 @@ def compile_plan(
     )
     output_ids = tuple(dg.outputs)
     output_slots = tuple(resolve((nid, "out")) for nid in output_ids)
+    input_grid = _grid_slots(tuple(input_ids), input_slot_list, "in")
+    output_grid = _grid_slots(output_ids, output_slots, "out")
     bitpack: BitpackProgram | None = None
     if (
         semiring.name == "boolean"
@@ -602,14 +640,8 @@ def compile_plan(
         and mac_abc_only
         and op_records
     ):
-        bitpack = _detect_bitpack(
-            len(input_ids),
-            tuple(input_ids),
-            input_slot_list,
-            output_ids,
-            output_slots,
-            op_records,
-        )
+        if input_grid is not None and output_grid is not None:
+            bitpack = _detect_bitpack(input_grid, output_grid, op_records)
         if bitpack is not None:
             get_registry().counter(
                 "repro_vector_bitpack_plans_total",
@@ -653,6 +685,8 @@ def compile_plan(
         output_slots=output_slots,
         compile_seconds=time.perf_counter() - t0,
         bitpack=bitpack,
+        input_grid=input_grid,
+        output_grid=output_grid,
     )
 
 

@@ -6,7 +6,9 @@
 :mod:`repro.arrays.vector_compile`) and replays it against the inputs.
 The :class:`~repro.arrays.cycle_sim.SimResult` it returns is
 bit-identical to the reference interpreter's — measures, deadlines,
-violations, strict-mode error ordering and all.
+violations, strict-mode error ordering and all.  An ``InputGrid`` from
+``make_inputs`` is bound as one matrix and grid-shaped outputs come back
+as one array (see :mod:`repro.arrays.vector_compile`).
 
 The reference interpreter is *forced* (with a metrics breadcrumb)
 whenever the replay could not reproduce its observable behaviour:

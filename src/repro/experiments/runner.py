@@ -119,10 +119,15 @@ def run_experiments(
                 if prev is not None:
                     set_default_backend(prev)
 
+        from ..arrays.vector_compile import clear_compiled_cache
+
         results = []
         payload = runlog.worker_payload()
+        # Forked workers would inherit this process's compiled-plan
+        # cache; each starts empty, as a fresh CLI process does.
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(exp_ids))
+            max_workers=min(jobs, len(exp_ids)),
+            initializer=clear_compiled_cache,
         ) as pool:
             futures = [
                 pool.submit(

@@ -740,10 +740,15 @@ def run_campaign(
         if jobs is not None and jobs > 1 and len(chosen) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
+            from ..arrays.vector_compile import clear_compiled_cache
+
             kinds_t = tuple(chosen_kinds)
             payload = runlog.worker_payload()
+            # Forked workers would inherit this process's compiled-plan
+            # cache; each starts empty, as a fresh CLI process does.
             with ProcessPoolExecutor(
-                max_workers=min(jobs, len(chosen))
+                max_workers=min(jobs, len(chosen)),
+                initializer=clear_compiled_cache,
             ) as pool:
                 futures = [
                     pool.submit(

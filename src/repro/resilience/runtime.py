@@ -314,11 +314,7 @@ class RecoveryResult:
 
     def output_matrix(self, n: int, semiring: Semiring = BOOLEAN) -> np.ndarray:
         """Assemble ``("out", i, j)`` outputs into a matrix."""
-        m = np.empty((n, n), dtype=semiring.dtype)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = self.outputs[("out", i, j)]
-        return m
+        return tc.read_output_matrix(self.outputs, n, semiring)
 
 
 def _identity_cell_map(geometry: str, m: int, shape: tuple[int, int]) -> dict:

@@ -105,11 +105,13 @@ class TestErrorParity:
         inputs = make_inputs(random_adjacency(6, seed=1))
         missing = sorted(inputs)[3]
         del inputs[missing]
+        assert inputs.matrix is None  # a mutated grid is a plain mapping
         with pytest.raises(GraphError) as ref_err:
             simulate(ep, dg, inputs)
         with pytest.raises(GraphError) as vec_err:
             simulate_vector(ep, dg, inputs)
         assert str(vec_err.value) == str(ref_err.value)
+        assert repr(missing) in str(vec_err.value)
 
     def test_uncovered_slot_node_raises_like_reference(self) -> None:
         from repro.core.semiring import BOOLEAN
@@ -122,6 +124,133 @@ class TestErrorParity:
             simulate(ep, dg, inputs)
         with pytest.raises(GraphError, match="does not cover"):
             compile_plan(ep, dg, BOOLEAN)
+
+
+class TestGridPath:
+    """Contracts of binding an :class:`InputGrid` and of array outputs."""
+
+    def _errors(self, fn):
+        try:
+            fn()
+        except Exception as exc:  # compared across backends
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_size_matrix_fails_alike(self, delta: int) -> None:
+        impl = partition_transitive_closure(n=6, m=2)
+        a = random_adjacency(6 + delta, seed=2)
+        ref = self._errors(lambda: impl.run(a, backend="reference"))
+        vec = self._errors(lambda: impl.run(a, backend="vector"))
+        assert ref is not None and vec == ref
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_deleted_key_names_the_node_on_both_backends(
+        self, strict: bool
+    ) -> None:
+        dg, ep = build(6, 2)
+        if strict:  # a violation the walk reaches after every input
+            victim = max(ep.fires, key=lambda nid: ep.fires[nid][1])
+            ep.fires[victim] = (ep.fires[victim][0], 0)
+        for missing in (("in", 0, 0), ("in", 5, 2)):
+            inputs = make_inputs(random_adjacency(6, seed=1))
+            del inputs[missing]
+            ref = self._errors(lambda: simulate(ep, dg, inputs, strict=strict))
+            vec = self._errors(
+                lambda: simulate_vector(ep, dg, inputs, strict=strict)
+            )
+            assert vec == ref == (
+                GraphError, f"no value supplied for input {missing!r}"
+            )
+
+    def test_strict_violation_on_a_full_grid(self) -> None:
+        dg, ep = build(8, 3)
+        victim = max(ep.fires, key=lambda nid: ep.fires[nid][1])
+        ep.fires[victim] = (ep.fires[victim][0], 0)
+        inputs = make_inputs(random_adjacency(8, seed=3))
+        ref = self._errors(lambda: simulate(ep, dg, inputs, strict=True))
+        vec = self._errors(
+            lambda: simulate_vector(ep, dg, inputs, strict=True)
+        )
+        assert vec == ref and ref[0] is SimulationError
+
+    def test_later_changes_to_the_matrix_do_not_leak(self) -> None:
+        impl = partition_transitive_closure(n=7, m=3)
+        a = random_adjacency(7, seed=4)
+        expected = impl.run(a, backend="reference")
+        inputs = make_inputs(a)
+        a[:] = 1 - a
+        vec = simulate_vector(impl.exec_plan, impl.dg, inputs)
+        assert np.array_equal(vec.output_matrix(7), expected)
+        assert inputs._env is None  # the replay never built the dict
+
+    def test_input_grid_pickles_attached(self) -> None:
+        import pickle
+
+        from repro.core.semiring import MIN_PLUS
+
+        inputs = make_inputs(random_adjacency(6, seed=5), MIN_PLUS)
+        back = pickle.loads(pickle.dumps(inputs))
+        assert back.matrix is not None
+        assert np.array_equal(back.matrix, inputs.matrix)
+        assert back == inputs and dict(back) == dict(inputs)
+
+    def test_input_grid_needs_a_square_matrix(self) -> None:
+        from repro.algorithms.transitive_closure import InputGrid
+
+        with pytest.raises(ValueError, match="square"):
+            InputGrid(np.zeros((2, 8), dtype=np.bool_))
+
+    def test_outputs_mapping_and_fresh_matrices(self) -> None:
+        from repro.algorithms.transitive_closure import OutputGrid
+        from repro.core.semiring import MIN_PLUS
+
+        dg, ep = build(7, 3)
+        inputs = make_inputs(random_adjacency(7, seed=6))
+        ref = simulate(ep, dg, inputs)
+        vec = simulate_vector(ep, dg, inputs)
+        assert isinstance(vec.outputs, OutputGrid)
+        assert vec.outputs == ref.outputs and ref.outputs == vec.outputs
+        assert list(vec.outputs) == list(ref.outputs)
+        first = vec.output_matrix(7)
+        first[:] = False
+        second = vec.output_matrix(7)
+        assert np.array_equal(second, ref.output_matrix(7))
+        assert not np.shares_memory(second, vec.outputs.grid)
+        as_float = vec.output_matrix(7, MIN_PLUS)
+        assert as_float.dtype == np.float64
+        assert np.array_equal(as_float, ref.output_matrix(7, MIN_PLUS))
+
+    @pytest.mark.parametrize("semiring", ["boolean", "min_plus"])
+    def test_kernel_profile_steps_match_the_mapping_path(
+        self, semiring: str
+    ) -> None:
+        from repro.core.semiring import BOOLEAN, MIN_PLUS
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.profile import KernelProfiler
+
+        sr = {"boolean": BOOLEAN, "min_plus": MIN_PLUS}[semiring]
+        dg, ep = build(6, 2)
+        compiled = get_compiled(ep, dg, sr)
+        inputs = make_inputs(random_adjacency(6, seed=7), sr)
+
+        def steps(env) -> dict:
+            kp = KernelProfiler(MetricsRegistry())
+            compiled.replay(env, kprof=kp)
+            return {
+                key: (st["calls"], st["elements"])
+                for key, st in kp._stats.items()
+            }
+
+        if compiled.bitpack is not None:
+            expected = {("vector", k + 1, "mac"): (1, 36) for k in range(6)}
+        else:
+            expected = {}
+            for step in compiled.steps:
+                key = ("vector", step.depth, step.opcode)
+                calls, width = expected.get(key, (0, 0))
+                expected[key] = (calls + 1, width + step.width)
+        assert steps(inputs) == steps(dict(inputs)) == expected
 
 
 class TestFallbacks:

@@ -27,13 +27,14 @@ def _quiet_registry():
 
 
 def _campaign_ledger(tmp_path, monkeypatch, name: str, jobs,
-                     backend=None, **kw):
+                     backend=None, fresh_cache=True, **kw):
     d = tmp_path / name
     monkeypatch.setenv("REPRO_RUNLOG_DIR", str(d))
-    # Each CLI run starts with an empty compiled-plan cache; start every
-    # run here the same way, so cache hits left by an earlier run in
-    # this process (and inherited by forked workers) cannot differ.
-    clear_compiled_cache()
+    # Each CLI run starts with an empty compiled-plan cache; by default
+    # start every run here the same way, so cache hits left by an
+    # earlier run in this process cannot differ.
+    if fresh_cache:
+        clear_compiled_cache()
     result = run_campaign(
         seed=0, configs=CONFIGS, jobs=jobs, record_metrics=False,
         backend=backend, **kw,
@@ -88,6 +89,29 @@ def test_vector_campaign_ledger_parity(
     assert {
         "campaign.config", "campaign.cell", "resilience.run",
     } <= stages
+
+
+def test_parallel_workers_start_with_an_empty_plan_cache(
+    tmp_path, monkeypatch, _quiet_registry
+) -> None:
+    """A ``jobs=2`` vector campaign right after a sequential one in the
+    same process: the forked workers must not inherit the compiled
+    plans the sequential run cached, so both ledgers record the same
+    ``sim.compile`` stages and ``plan_cache`` outcomes."""
+    clear_compiled_cache()
+    _, seq = _campaign_ledger(
+        tmp_path, monkeypatch, "cseq", None, "vector", fresh_cache=False
+    )
+    _, par = _campaign_ledger(
+        tmp_path, monkeypatch, "cpar", 2, "vector", fresh_cache=False
+    )
+    assert runlog.strip_nondeterministic(par) == (
+        runlog.strip_nondeterministic(seq)
+    )
+    assert any(
+        ev["event"] == "plan_cache" and ev["outcome"] == "compile"
+        for ev in par
+    )
 
 
 def test_campaign_ledger_covers_pipeline_events(
