@@ -63,7 +63,7 @@ from ..core.evaluate import OPCODE_SEMANTICS
 from ..core.graph import DependenceGraph, GraphError, NodeId, NodeKind
 from ..core.semiring import Semiring
 from ..obs import runlog
-from ..obs.metrics import get_registry
+from ..obs.metrics import Counter, get_registry
 from ..obs.tracing import stage_span
 from .cycle_sim import SimResult, SimulationError, Violation
 from .plan import ExecutionPlan
@@ -651,11 +651,7 @@ def compile_plan(
             # Boolean all-mac graph that is *not* provably Warshall:
             # the fast path falls back to the batched replay and leaves
             # the audited breadcrumb (RL505 checks the reason set).
-            get_registry().counter(
-                "repro_vector_fallback_total",
-                "Vector-backend fast-path fallbacks by reason",
-            ).inc(reason="bitpack")
-            runlog.emit("fallback", backend="vector", reason="bitpack")
+            runlog.record("fallback", backend="vector", reason="bitpack")
     return CompiledPlan(
         fingerprint="",
         graph_name=dg.name,
@@ -776,46 +772,28 @@ def plan_fingerprint(
 
 _CACHE: dict[str, CompiledPlan] = {}
 _CACHE_MAX = 64
-_HITS = 0
-_MISSES = 0
 
 
 def get_compiled(
     plan: ExecutionPlan, dg: DependenceGraph, semiring: Semiring
 ) -> CompiledPlan:
-    """Fetch (or compile and cache) the program for this configuration."""
-    global _HITS, _MISSES
+    """Fetch (or compile and cache) the program for this configuration;
+    each lookup records one ``plan_cache`` event, ``hit`` or ``compile``."""
     fp = plan_fingerprint(plan, dg, semiring)
     hit = _CACHE.get(fp)
-    reg = get_registry()
-    experiment = runlog.current_task()
     if hit is not None:
-        _HITS += 1
-        reg.counter(
-            "repro_plan_cache_hits_total",
-            "Compiled-plan cache hits by experiment",
-        ).inc(experiment=experiment)
-        runlog.emit(
+        runlog.record(
             "plan_cache", outcome="hit", plan_fingerprint=fp,
             graph=dg.name,
         )
         return hit
-    _MISSES += 1
-    reg.counter(
-        "repro_plan_cache_misses_total",
-        "Compiled-plan cache misses by experiment (each is one compile)",
-    ).inc(experiment=experiment)
     with stage_span("sim.compile", graph=dg.name):
         compiled = compile_plan(plan, dg, semiring)
     compiled.fingerprint = fp
     if len(_CACHE) >= _CACHE_MAX:
         _CACHE.pop(next(iter(_CACHE)))
     _CACHE[fp] = compiled
-    reg.counter(
-        "repro_vector_compile_seconds_total",
-        "Wall-clock seconds spent compiling plans",
-    ).inc(compiled.compile_seconds)
-    runlog.emit(
+    runlog.record(
         "plan_cache", outcome="compile", plan_fingerprint=fp,
         graph=dg.name, compile_s=round(compiled.compile_seconds, 6),
     )
@@ -831,12 +809,18 @@ def get_compiled(
 
 def clear_compiled_cache() -> None:
     """Drop every cached program (tests; or after mutating a plan)."""
-    global _HITS, _MISSES
     _CACHE.clear()
-    _HITS = 0
-    _MISSES = 0
 
 
 def compiled_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters for reports and tests."""
-    return {"hits": _HITS, "misses": _MISSES, "size": len(_CACHE)}
+    """Hits and misses (the plan-cache counters over all experiments,
+    which :func:`clear_compiled_cache` does not reset) and the size."""
+    info = {"hits": 0, "misses": 0, "size": len(_CACHE)}
+    for key, name in (
+        ("hits", "repro_plan_cache_hits_total"),
+        ("misses", "repro_plan_cache_misses_total"),
+    ):
+        metric = get_registry().get(name)
+        if isinstance(metric, Counter):
+            info[key] = int(sum(s["value"] for s in metric.to_json()["series"]))
+    return info

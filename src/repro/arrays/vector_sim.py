@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from ..core.graph import DependenceGraph, NodeId
 from ..core.semiring import BOOLEAN, Semiring
 from ..obs import runlog
-from ..obs.metrics import get_registry
 from ..obs.profile import kernel_profiler
 from ..obs.tracing import stage_span
 from .cycle_sim import SimResult, simulate
@@ -73,14 +72,6 @@ ALLOWED_FALLBACK_REASONS: frozenset[str] = frozenset(
 )
 
 
-def _count_fallback(reason: str) -> None:
-    get_registry().counter(
-        "repro_vector_fallback_total",
-        "Vector-backend fast-path fallbacks by reason",
-    ).inc(reason=reason)
-    runlog.emit("fallback", backend="vector", reason=reason)
-
-
 def simulate_vector(
     plan: ExecutionPlan,
     dg: DependenceGraph,
@@ -97,15 +88,15 @@ def simulate_vector(
     docstring for when the reference interpreter is forced instead.
     """
     if probe is not None:
-        _count_fallback("probe")
+        runlog.record("fallback", backend="vector", reason="probe")
         return simulate(plan, dg, inputs, semiring, strict, probe, inject)
     if inject is not None:
-        _count_fallback("inject")
+        runlog.record("fallback", backend="vector", reason="inject")
         return simulate(plan, dg, inputs, semiring, strict, probe, inject)
     try:
         compiled = get_compiled(plan, dg, semiring)
     except UnvectorizableGraphError:
-        _count_fallback("unvectorizable")
+        runlog.record("fallback", backend="vector", reason="unvectorizable")
         return simulate(plan, dg, inputs, semiring, strict, probe, inject)
     with stage_span(
         "sim.vector", graph=dg.name, slots=compiled.n_slots,

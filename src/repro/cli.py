@@ -840,7 +840,7 @@ def _cmd_closure(args) -> int:
     except DatasetError as exc:
         print(f"closure: {exc}", file=sys.stderr)
         return 2
-    runlog.emit("dataset", **ds.describe())
+    runlog.record("dataset", **ds.describe())
 
     t0 = perf_counter()
     with stage_span("closure.compute", engine=args.engine) as sp:
@@ -857,7 +857,7 @@ def _cmd_closure(args) -> int:
         "closure_edges": closure_edges,
         "mean_reach": round(closure_edges / ds.n, 3) if ds.n else 0.0,
     }
-    runlog.emit(
+    runlog.record(
         "closure", engine=res.engine, kernel=res.kernel,
         wall_s=summary["wall_s"], closure_edges=closure_edges,
     )
@@ -885,7 +885,7 @@ def _cmd_closure(args) -> int:
             "wall_s": round(check_wall, 6),
             "agree": agree,
         }
-        runlog.emit(
+        runlog.record(
             "closure_check", engine=other.engine, agree=agree,
             sources=int(len(other.sources)),
         )
@@ -938,7 +938,7 @@ def _bench_dataset(args) -> int:
     except DatasetError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
-    runlog.emit("dataset", **ds.describe())
+    runlog.record("dataset", **ds.describe())
 
     t0 = perf_counter()
     oracle = compute_closure(ds, "bitpack")
@@ -993,7 +993,7 @@ def _bench_dataset(args) -> int:
             })
 
     for row in rows:
-        runlog.emit("closure", dataset=ds.name, **row)
+        runlog.record("closure", dataset=ds.name, **row)
     print(f"== DS-{ds.name}: closure engines on n={ds.n}, m={ds.m} ==")
     print(format_table(rows))
     return 0 if all(r["agree"] for r in rows) else 1

@@ -122,7 +122,7 @@ def verify_implementation(
         "backend": backend,
     }
     with runlog.run_scope("verify", params):
-        runlog.emit(
+        runlog.record(
             "backend", backend=resolve_backend(backend),
             design=impl.dg.name,
         )
@@ -174,7 +174,7 @@ def verify_implementation(
             mismatches=mismatches,
             lint=lint_report,
         )
-        runlog.emit(
+        runlog.record(
             "oracle", design=impl.dg.name, checked=True, ok=report.ok,
             trials=report.trials, correct=report.correct,
         )

@@ -35,7 +35,7 @@ from ..arrays.vector_compile import VECTOR_OPCODES, _FIELD_DTYPE_KINDS
 from ..arrays.vector_sim import ALLOWED_FALLBACK_REASONS
 from ..core.evaluate import OPCODE_SEMANTICS
 from ..core.graph import NodeKind
-from ..obs.metrics import get_registry
+from ..obs import runlog
 from .diagnostics import Diagnostic, Severity
 from .passes_graph import _capped
 from .registry import LintTarget, lint_pass
@@ -380,9 +380,8 @@ def check_fallback_audit(target: LintTarget) -> Iterable[Diagnostic]:
     means a new reference-interpreter escape hatch shipped without being
     audited for result equivalence.
     """
-    series = get_registry().counter(
-        "repro_vector_fallback_total",
-        "Runs the vector backend handed to the reference interpreter",
+    series = runlog.event_counter(
+        "repro_vector_fallback_total"
     ).to_json()["series"]
     diags: list[Diagnostic] = []
     for entry in series:

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from ..obs import runlog
-from ..obs.metrics import get_registry
 from .diagnostics import LintError, LintReport
 from .registry import (
     LintTarget,
@@ -124,17 +123,10 @@ def clear_lint_cache() -> None:
 
 def lint_cache_info() -> dict[str, int]:
     """Hit/miss/size counters for reports and tests."""
-    reg = get_registry()
-    counter = reg.counter(
-        "repro_lint_cache_hits_total",
-        "Planner-tier lint reports served from the fingerprint cache",
-    )
-    misses = reg.counter(
-        "repro_lint_cache_misses_total",
-        "Planner-tier lint runs that executed the passes",
-    )
+    hits = runlog.event_counter("repro_lint_cache_hits_total")
+    misses = runlog.event_counter("repro_lint_cache_misses_total")
     return {
-        "hits": int(counter.value()),
+        "hits": int(hits.value()),
         "misses": int(misses.value()),
         "size": len(_LINT_CACHE),
     }
@@ -165,35 +157,35 @@ def lint_compiled(
         semiring=sr,
     )
     compiled = attach_compiled(target, sr)
-    reg = get_registry()
-    key = _cache_key(compiled.fingerprint, io_bound)
     if use_cache:
-        hit = _LINT_CACHE.get(key)
+        hit = _LINT_CACHE.get(_cache_key(compiled.fingerprint, io_bound))
         if hit is not None:
-            reg.counter(
-                "repro_lint_cache_hits_total",
-                "Planner-tier lint reports served from the fingerprint "
-                "cache",
-            ).inc()
-            runlog.emit(
+            runlog.record(
                 "lint_cache", outcome="hit",
                 plan_fingerprint=compiled.fingerprint,
                 target=hit.target,
             )
             return _copy_report(hit)
-    reg.counter(
-        "repro_lint_cache_misses_total",
-        "Planner-tier lint runs that executed the passes",
-    ).inc()
+    return _run_planner_tiers(target, compiled.fingerprint, io_bound, use_cache)
+
+
+def _run_planner_tiers(
+    target: LintTarget,
+    fingerprint: str,
+    io_bound: Fraction | None,
+    store: bool = True,
+) -> LintReport:
+    """One lint-cache miss: run the planner tiers, record the miss and
+    (with ``store``) cache a copy of the report."""
     report = run_lint(target, passes=list(planner_pass_names()))
-    runlog.emit(
-        "lint_cache", outcome="miss",
-        plan_fingerprint=compiled.fingerprint, target=report.target,
+    runlog.record(
+        "lint_cache", outcome="miss", plan_fingerprint=fingerprint,
+        target=report.target,
     )
-    if use_cache:
+    if store:
         if len(_LINT_CACHE) >= _LINT_CACHE_MAX:
             _LINT_CACHE.pop(next(iter(_LINT_CACHE)))
-        _LINT_CACHE[key] = _copy_report(report)
+        _LINT_CACHE[_cache_key(fingerprint, io_bound)] = _copy_report(report)
     return report
 
 
@@ -228,15 +220,7 @@ def planner_preflight(
             compiled=compiled,
             semiring=semiring,
         )
-        report = run_lint(target, passes=list(planner_pass_names()))
-        get_registry().counter(
-            "repro_lint_cache_misses_total",
-            "Planner-tier lint runs that executed the passes",
-        ).inc()
-        key = _cache_key(compiled.fingerprint, None)
-        if len(_LINT_CACHE) >= _LINT_CACHE_MAX:
-            _LINT_CACHE.pop(next(iter(_LINT_CACHE)))
-        _LINT_CACHE[key] = _copy_report(report)
+        report = _run_planner_tiers(target, compiled.fingerprint, None)
         if not report.ok:
             raise LintError(report)
     finally:

@@ -275,18 +275,15 @@ def run_lint(
         ran.append(lp.name)
     report.passes_run = tuple(ran)
     report.passes_skipped = tuple(skipped)
-    runlog.emit(
-        "lint", target=target.description, ok=report.ok,
-        errors=len(report.errors), warnings=len(report.warnings),
-        passes=len(ran),
+    runlog.record(
+        "lint", metrics=record_metrics, target=target.description,
+        ok=report.ok, errors=len(report.errors),
+        warnings=len(report.warnings), passes=len(ran),
     )
-
     if record_metrics:
-        reg = get_registry()
-        reg.counter(
-            "repro_lint_runs_total", "static design checker invocations"
-        ).inc()
-        findings = reg.counter(
+        # Per-code counts are not in the ``lint`` event, so this counter
+        # stays outside runlog.EVENT_METRICS.
+        findings = get_registry().counter(
             "repro_lint_findings_total", "lint findings by code and severity"
         )
         for d in report.diagnostics:

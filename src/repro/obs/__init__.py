@@ -26,7 +26,8 @@ Three instruments, one package:
   a run context with a deterministic run ID and appends typed JSONL
   events (every stage span, lint, plan cache, backend, faults,
   checkpoints, oracle) to ``runs/<run-id>.jsonl``; query via
-  ``python -m repro obs``.
+  ``python -m repro obs``.  Its ``EVENT_METRICS`` table derives the
+  cache, fallback, lint and fault counters from those events.
 * :mod:`repro.obs.dashboard` — the self-contained **HTML dashboard**
   (``python -m repro dashboard``); imported lazily (as
   ``repro.obs.dashboard``) because it pulls in the viz layer.
@@ -106,11 +107,11 @@ from .runlog import (  # noqa: F401
     current_run,
     current_run_id,
     current_task,
-    emit,
     ledger_path,
     list_runs,
     make_run_id,
     read_ledger,
+    record,
     run_scope,
     runlog_dir,
     runlog_enabled,
@@ -186,7 +187,7 @@ __all__ = [
     "RunLog",
     "run_scope",
     "task_scope",
-    "emit",
+    "record",
     "current_run",
     "current_run_id",
     "current_task",

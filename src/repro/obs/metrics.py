@@ -30,7 +30,7 @@ import json
 import re
 import threading
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 __all__ = [
     "Counter",
@@ -55,19 +55,25 @@ _RESERVED_LABELS = frozenset({"le", "quantile"})
 _SCALAR_LABEL_TYPES = (str, bool, int, float, Fraction)
 
 
+#: Label names already validated (the check runs once per name).
+_VALID_LABEL_NAMES: set[str] = set()
+
+
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
     items = []
     for k, v in labels.items():
-        if (
-            not _LABEL_NAME_RE.match(k)
-            or k.startswith("__")
-            or k in _RESERVED_LABELS
-        ):
-            raise ValueError(
-                f"invalid or reserved label name {k!r}: labels must match "
-                f"[a-zA-Z_][a-zA-Z0-9_]* and must not start with '__' or "
-                f"be one of {sorted(_RESERVED_LABELS)}"
-            )
+        if k not in _VALID_LABEL_NAMES:
+            if (
+                not _LABEL_NAME_RE.match(k)
+                or k.startswith("__")
+                or k in _RESERVED_LABELS
+            ):
+                raise ValueError(
+                    f"invalid or reserved label name {k!r}: labels must "
+                    f"match [a-zA-Z_][a-zA-Z0-9_]* and must not start "
+                    f"with '__' or be one of {sorted(_RESERVED_LABELS)}"
+                )
+            _VALID_LABEL_NAMES.add(k)
         if not isinstance(v, _SCALAR_LABEL_TYPES):
             raise TypeError(
                 f"label {k}={v!r}: values must be str, bool, int, float "
@@ -105,9 +111,6 @@ class _Metric:
         self._series: dict[LabelKey, Any] = {}
         self._lock = threading.Lock()
 
-    def labels(self) -> Iterable[LabelKey]:
-        return tuple(self._series)
-
     def _prom_header(self) -> list[str]:
         lines = []
         if self.help:
@@ -116,7 +119,35 @@ class _Metric:
         return lines
 
 
-class Counter(_Metric):
+class _Scalar(_Metric):
+    """Counter/gauge plumbing: one number per label set."""
+
+    def inc(self, amount: int | float | Fraction = 1, **labels: Any) -> None:
+        key = _label_key(labels)
+        with self._lock:
+            self._series[key] = self._series.get(key, 0) + amount
+
+    def value(self, **labels: Any) -> int | float | Fraction:
+        return self._series.get(_label_key(labels), 0)
+
+    def to_prometheus(self) -> list[str]:
+        lines = self._prom_header()
+        for key, v in sorted(self._series.items()):
+            lines.append(f"{self.name}{_render_labels(key)} {_render_value(v)}")
+        return lines
+
+    def to_json(self) -> dict:
+        return {
+            "type": self.kind,
+            "help": self.help,
+            "series": [
+                {"labels": dict(key), "value": _render_value(v)}
+                for key, v in sorted(self._series.items())
+            ],
+        }
+
+
+class Counter(_Scalar):
     """A monotonically increasing count (events, words, violations)."""
 
     kind = "counter"
@@ -128,27 +159,8 @@ class Counter(_Metric):
         with self._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
-    def value(self, **labels: Any) -> int | float | Fraction:
-        return self._series.get(_label_key(labels), 0)
 
-    def to_prometheus(self) -> list[str]:
-        lines = self._prom_header()
-        for key, v in sorted(self._series.items()):
-            lines.append(f"{self.name}{_render_labels(key)} {_render_value(v)}")
-        return lines
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "series": [
-                {"labels": dict(key), "value": _render_value(v)}
-                for key, v in sorted(self._series.items())
-            ],
-        }
-
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """A value that can go anywhere (utilization, makespan, bandwidth)."""
 
     kind = "gauge"
@@ -156,30 +168,6 @@ class Gauge(_Metric):
     def set(self, value: int | float | Fraction, **labels: Any) -> None:
         with self._lock:
             self._series[_label_key(labels)] = value
-
-    def inc(self, amount: int | float | Fraction = 1, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
-
-    def value(self, **labels: Any) -> int | float | Fraction:
-        return self._series.get(_label_key(labels), 0)
-
-    def to_prometheus(self) -> list[str]:
-        lines = self._prom_header()
-        for key, v in sorted(self._series.items()):
-            lines.append(f"{self.name}{_render_labels(key)} {_render_value(v)}")
-        return lines
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "series": [
-                {"labels": dict(key), "value": _render_value(v)}
-                for key, v in sorted(self._series.items())
-            ],
-        }
 
 
 #: Default histogram buckets: span sub-microsecond Python calls up to
@@ -209,15 +197,19 @@ class Histogram(_Metric):
         key = _label_key(labels)
         v = float(value)
         with self._lock:
-            state = self._series.get(key)
-            if state is None:
-                state = {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
-                self._series[key] = state
+            state = self._state(key)
             for i, le in enumerate(self.buckets):
                 if v <= le:
                     state["counts"][i] += 1
             state["sum"] += v
             state["count"] += 1
+
+    def _state(self, key: LabelKey) -> dict:
+        state = self._series.get(key)
+        if state is None:
+            state = {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
+            self._series[key] = state
+        return state
 
     def count(self, **labels: Any) -> int:
         state = self._series.get(_label_key(labels))
@@ -293,17 +285,16 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Any:
-        with self._lock:
-            m = self._metrics.get(name)
-            if m is None:
-                m = cls(name, help, **kwargs)
-                self._metrics[name] = m
-            elif not isinstance(m, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as {m.kind}, "
-                    f"not {cls.kind}"
-                )
-            return m
+        m = self._metrics.get(name)
+        if m is None:
+            with self._lock:
+                m = self._metrics.setdefault(name, cls(name, help, **kwargs))
+        if not isinstance(m, cls):
+            raise TypeError(
+                f"metric {name!r} already registered as {m.kind}, "
+                f"not {cls.kind}"
+            )
+        return m
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
@@ -376,16 +367,8 @@ class MetricsRegistry:
                         f"histogram {name!r}: bucket mismatch on merge"
                     )
                 for s in doc["series"]:
-                    key = _label_key(s["labels"])
                     with h._lock:
-                        state = h._series.get(key)
-                        if state is None:
-                            state = {
-                                "counts": [0] * len(h.buckets),
-                                "sum": 0.0,
-                                "count": 0,
-                            }
-                            h._series[key] = state
+                        state = h._state(_label_key(s["labels"]))
                         for i, c_in in enumerate(s["counts"]):
                             state["counts"][i] += c_in
                         state["sum"] += s["sum"]

@@ -17,10 +17,13 @@ obs`` queries the ledgers (``list`` / ``show`` / ``diff`` /
 
 Design rules, in the order they matter:
 
-* **Zero cost when inactive.**  :func:`emit` and :func:`task_scope`
-  check one module global and return; :func:`repro.obs.tracing.
-  stage_span` checks it beside the tracer.  Library users pay a
-  ``None`` check per call site unless a run scope is open.
+* **One write per fact.**  :func:`record` appends an event and applies
+  the :data:`EVENT_METRICS` rows for its type: those counters are a
+  view of the ledger, kept in the registry even with no run scope open.
+* **Near-zero cost when inactive.**  Without a run scope,
+  :func:`record` costs a ``None`` check and one table lookup (plus the
+  counter update, for a table event); :func:`task_scope` and
+  :func:`repro.obs.tracing.stage_span` check the same module global.
 * **Deterministic identity.**  ``run_id = f"{entry}-{sha256(entry +
   canonical params)[:12]}"``.  The parameters *exclude* execution knobs
   that must not change the artefact (``jobs``), so a sequential and a
@@ -53,10 +56,11 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .metrics import get_registry
+from .metrics import Counter, get_registry
 
 __all__ = [
     "RUNLOG_SCHEMA_VERSION",
@@ -64,7 +68,10 @@ __all__ = [
     "RunLog",
     "run_scope",
     "task_scope",
-    "emit",
+    "record",
+    "event_counter",
+    "CounterRule",
+    "EVENT_METRICS",
     "current_run",
     "current_run_id",
     "current_task",
@@ -162,7 +169,7 @@ class RunLog:
 
     Instances are created by :func:`run_scope` (parent, file-backed) and
     :func:`worker_scope` (worker, in-memory only); library code talks to
-    the module-level :func:`emit` / :func:`task_scope` and marks stages
+    the module-level :func:`record` / :func:`task_scope` and marks stages
     with :func:`repro.obs.tracing.stage_span` -- all no-ops unless a
     scope is open.
     """
@@ -312,15 +319,12 @@ class RunLog:
             "repro_runs_total",
             "run-ledger runs by entry point and verdict",
         ).inc(entry=self.entry, ok=bool(ok))
-        counts: dict[str, int] = {}
-        for ev in self.events:
-            counts[ev["event"]] = counts.get(ev["event"], 0) + 1
         ev_counter = reg.counter(
             "repro_run_events_total",
             "run-ledger events by entry point and event type",
         )
-        for name in sorted(counts):
-            ev_counter.inc(counts[name], entry=self.entry, event=name)
+        for name, count in summarize(self.events)["counts"].items():
+            ev_counter.inc(count, entry=self.entry, event=name)
         if self.dropped:
             reg.counter(
                 "repro_run_events_dropped_total",
@@ -348,10 +352,112 @@ def current_task() -> str:
     return _ACTIVE.task
 
 
-def emit(event: str, **fields: Any) -> None:
-    """Append one event to the open run's ledger (no-op without one)."""
+@dataclass(frozen=True)
+class CounterRule:
+    """One :data:`EVENT_METRICS` row: how one event type feeds a counter.
+
+    ``labels`` maps each label name to the event field it reads; the
+    envelope field ``task`` reads the open task (``""`` at run level).
+    ``amount`` names the field holding the increment (``None``: 1).
+    The row counts the events whose ``outcome`` field equals
+    ``outcome`` (``None``: events without one) and, if set, pass
+    ``when``.
+    """
+
+    event: str
+    metric: str
+    help: str
+    labels: Mapping[str, str] = field(default_factory=dict)
+    amount: "str | None" = None
+    outcome: "str | None" = None
+    when: "Callable[[Mapping[str, Any]], bool] | None" = None
+
+
+_EXPERIMENT = {"experiment": "task"}
+_DESIGN = {"design": "design"}
+
+#: The counters that are a view of the ledger: :func:`record` applies
+#: every row of an event type as it writes the event, and no other
+#: module updates these metrics (``tools/check_static.py`` enforces it).
+#: Each metric has exactly one row, so one help text.
+EVENT_METRICS: tuple[CounterRule, ...] = (
+    CounterRule("plan_cache", "repro_plan_cache_hits_total",
+                "Compiled-plan cache hits by experiment",
+                _EXPERIMENT, outcome="hit"),
+    CounterRule("plan_cache", "repro_plan_cache_misses_total",
+                "Compiled-plan cache misses by experiment (each is one "
+                "compile)", _EXPERIMENT, outcome="compile"),
+    CounterRule("plan_cache", "repro_vector_compile_seconds_total",
+                "Wall-clock seconds spent compiling plans",
+                amount="compile_s", outcome="compile"),
+    CounterRule("fallback", "repro_vector_fallback_total",
+                "Vector-backend fast-path fallbacks by reason",
+                {"reason": "reason"}),
+    CounterRule("lint_cache", "repro_lint_cache_hits_total",
+                "Planner-tier lint reports served from the fingerprint "
+                "cache", outcome="hit"),
+    CounterRule("lint_cache", "repro_lint_cache_misses_total",
+                "Planner-tier lint runs that executed the passes",
+                outcome="miss"),
+    CounterRule("lint", "repro_lint_runs_total",
+                "static design checker invocations"),
+    CounterRule("fault_inject", "repro_fault_injected_total",
+                "faults that actually fired, by kind",
+                {"design": "design", "kind": "kind"}),
+    CounterRule("fault_recover", "repro_fault_detected_total",
+                "injected faults caught by a detector",
+                _DESIGN, amount="detected"),
+    CounterRule("fault_recover", "repro_fault_retries_total",
+                "G-set attempt retries", _DESIGN, amount="retries"),
+    CounterRule("fault_recover", "repro_fault_repartitions_total",
+                "mid-run re-partitions", _DESIGN, amount="repartitions"),
+    CounterRule("fault_recover", "repro_cell_quarantined_total",
+                "cells quarantined as suspected-permanent by the strike "
+                "ladder", _DESIGN, amount="quarantined",
+                when=lambda ev: ev["quarantined"] > 0),
+    CounterRule("fault_recover", "repro_fault_degraded_gsets_total",
+                "G-sets retired to the host-side reference computation",
+                _DESIGN, amount="degraded_gsets",
+                when=lambda ev: ev["degraded_gsets"] > 0),
+)
+
+#: (event, outcome) -> its rows: one lookup per recorded event.
+_RULES: dict[tuple[str, str | None], tuple[CounterRule, ...]] = {
+    key: tuple(r for r in EVENT_METRICS if (r.event, r.outcome) == key)
+    for key in {(r.event, r.outcome) for r in EVENT_METRICS}
+}
+_BY_METRIC = {rule.metric: rule for rule in EVENT_METRICS}
+
+
+def record(event: str, *, metrics: bool = True, **fields: Any) -> None:
+    """Write one fact once: the ledger event and its table counters.
+
+    The event goes to the open run's ledger (no-op without one).  The
+    :data:`EVENT_METRICS` rows for ``event`` update the registry either
+    way, unless ``metrics`` is false (the callers' ``record_metrics``
+    opt-out), so ``repro stats`` sees them with no ledger open.
+    """
     if _ACTIVE is not None:
         _ACTIVE.emit(event, **fields)
+    if not metrics:
+        return
+    for rule in _RULES.get((event, fields.get("outcome")), ()):
+        if rule.when is not None and not rule.when(fields):
+            continue
+        labels: dict[str, Any] = {}
+        for name, src in rule.labels.items():
+            labels[name] = current_task() if src == "task" else fields[src]
+        amount = 1 if rule.amount is None else fields[rule.amount]
+        get_registry().counter(rule.metric, rule.help).inc(amount, **labels)
+
+
+def event_counter(metric: str) -> Counter:
+    """The registry counter of one :data:`EVENT_METRICS` row.
+
+    Readers get the table metrics here (or with ``registry.get``), so a
+    metric's help text is the table's whichever site touches it first.
+    """
+    return get_registry().counter(metric, _BY_METRIC[metric].help)
 
 
 @contextmanager

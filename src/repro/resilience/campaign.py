@@ -231,13 +231,13 @@ class CampaignRun:
     detected: bool
     recovered: bool
     oracle_ok: bool
-    detections: int
-    retries: int
-    repartitions: int
-    total_cycles: int
-    healthy_cycles: int
-    overhead_cycles: int
-    degraded_throughput: Fraction
+    detections: int = 0
+    retries: int = 0
+    repartitions: int = 0
+    total_cycles: int = 0
+    healthy_cycles: int = 0
+    overhead_cycles: int = 0
+    degraded_throughput: Fraction = Fraction(0)
     error: "str | None" = None
     result: "RecoveryResult | None" = field(default=None, repr=False)
     #: Set on regime campaign cells (``None`` for classic one-fault runs).
@@ -427,13 +427,66 @@ def _config_runs(
                 seed, config, kinds, policy, record_metrics, backend,
                 design, inputs,
             )
+    if record_metrics:
+        _count_cells(config, runs)
     cache_after = compiled_cache_info()
-    runlog.emit(
+    runlog.record(
         "plan_cache", outcome="summary", config=config.name,
         hits=cache_after["hits"] - cache_before["hits"],
         misses=cache_after["misses"] - cache_before["misses"],
     )
     return runs
+
+
+def _cell_run(
+    config: CampaignConfig,
+    kind: str,
+    fault: str,
+    injected: bool,
+    detected: bool,
+    result: "RecoveryResult | None",
+    error: "str | None",
+    **regime_fields: Any,
+) -> CampaignRun:
+    """One cell's outcome; a run that raised keeps its error and zeros."""
+    if result is None:
+        return CampaignRun(
+            config=config.name, kind=kind, fault=fault, injected=injected,
+            detected=False, recovered=False, oracle_ok=False, error=error,
+            **regime_fields,
+        )
+    return CampaignRun(
+        config=config.name, kind=kind, fault=fault, injected=injected,
+        detected=detected, recovered=result.recovered,
+        oracle_ok=bool(result.oracle_ok),
+        detections=len(result.detections), retries=result.retries,
+        repartitions=result.repartitions, total_cycles=result.total_cycles,
+        healthy_cycles=result.healthy_cycles,
+        overhead_cycles=result.overhead_cycles,
+        degraded_throughput=result.degraded_throughput, result=result,
+        **regime_fields,
+    )
+
+
+def _count_cells(config: CampaignConfig, runs: Sequence[CampaignRun]) -> None:
+    """The campaign cell counters.  A cell's verdict is in no ledger
+    event, so they stay outside ``runlog.EVENT_METRICS``."""
+    reg = get_registry()
+    for run in runs:
+        reg.counter(
+            "repro_fault_campaign_runs_total",
+            "campaign runs by config, kind and verdict",
+        ).inc(config=config.name, kind=run.kind, ok=run.ok)
+        if run.regime is None:
+            continue
+        reg.counter(
+            "repro_fault_regime_runs_total",
+            "regime campaign cells by regime and verdict",
+        ).inc(regime=run.regime, config=config.name, ok=run.ok)
+        reg.counter(
+            "repro_fault_regime_faults_total",
+            "faults planned by the failure regimes",
+        ).inc(run.faults_planned, regime=run.regime, config=config.name)
 
 
 def _kind_runs(
@@ -467,52 +520,12 @@ def _kind_runs(
                 )
             except ResilienceError as exc:
                 error = f"{type(exc).__name__}: {exc}"
-        if result is not None:
-            run = CampaignRun(
-                config=config.name,
-                kind=kind.value,
-                fault=spec.describe(),
-                injected=spec.triggered,
-                detected=(
-                    spec.triggered
-                    and result.detected_fault_count
-                    >= len(result.injected)
-                ),
-                recovered=result.recovered,
-                oracle_ok=bool(result.oracle_ok),
-                detections=len(result.detections),
-                retries=result.retries,
-                repartitions=result.repartitions,
-                total_cycles=result.total_cycles,
-                healthy_cycles=result.healthy_cycles,
-                overhead_cycles=result.overhead_cycles,
-                degraded_throughput=result.degraded_throughput,
-                result=result,
-            )
-        else:
-            run = CampaignRun(
-                config=config.name,
-                kind=kind.value,
-                fault=spec.describe(),
-                injected=spec.triggered,
-                detected=False,
-                recovered=False,
-                oracle_ok=False,
-                detections=0,
-                retries=0,
-                repartitions=0,
-                total_cycles=0,
-                healthy_cycles=0,
-                overhead_cycles=0,
-                degraded_throughput=Fraction(0),
-                error=error,
-            )
-        runs.append(run)
-        if record_metrics:
-            get_registry().counter(
-                "repro_fault_campaign_runs_total",
-                "campaign runs by config, kind and verdict",
-            ).inc(config=config.name, kind=kind.value, ok=run.ok)
+        runs.append(_cell_run(
+            config, kind.value, spec.describe(), spec.triggered,
+            result is not None and spec.triggered
+            and result.detected_fault_count >= len(result.injected),
+            result, error,
+        ))
     return runs
 
 
@@ -545,7 +558,7 @@ def _regime_runs(
         error: "str | None" = None
         result: "RecoveryResult | None" = None
         with stage_span("campaign.cell", regime=name):
-            runlog.emit(
+            runlog.record(
                 "fault_regime", design=f"{config.name}:{name}",
                 regime=name, params=dict(fault_plan.params),
                 faults=len(specs),
@@ -565,69 +578,25 @@ def _regime_runs(
             except ResilienceError as exc:
                 error = f"{type(exc).__name__}: {exc}"
         fired = [f for f in specs if f.triggered]
-        fault_desc = "; ".join(f.describe() for f in fault_plan.faults)
+        regime_fields: dict[str, Any] = dict(
+            regime=name, regime_params=dict(fault_plan.params),
+            faults_planned=len(fault_plan.faults),
+        )
         if result is not None:
-            run = CampaignRun(
-                config=config.name,
-                kind=name,
-                fault=fault_desc,
-                injected=bool(fired),
-                detected=bool(fired) and result.all_faults_detected,
-                recovered=result.recovered,
-                oracle_ok=bool(result.oracle_ok),
-                detections=len(result.detections),
-                retries=result.retries,
-                repartitions=result.repartitions,
-                total_cycles=result.total_cycles,
-                healthy_cycles=result.healthy_cycles,
-                overhead_cycles=result.overhead_cycles,
-                degraded_throughput=result.degraded_throughput,
-                result=result,
-                regime=name,
-                regime_params=dict(fault_plan.params),
-                faults_planned=len(fault_plan.faults),
+            regime_fields.update(
                 quarantined=len(result.escalations),
                 degraded_gsets=len(result.degraded_sids),
                 degraded_nodes=result.degraded_nodes,
                 availability=float(result.availability),
                 mttr_cycles=result.mttr_cycles,
             )
-        else:
-            run = CampaignRun(
-                config=config.name,
-                kind=name,
-                fault=fault_desc,
-                injected=bool(fired),
-                detected=False,
-                recovered=False,
-                oracle_ok=False,
-                detections=0,
-                retries=0,
-                repartitions=0,
-                total_cycles=0,
-                healthy_cycles=0,
-                overhead_cycles=0,
-                degraded_throughput=Fraction(0),
-                error=error,
-                regime=name,
-                regime_params=dict(fault_plan.params),
-                faults_planned=len(fault_plan.faults),
-            )
-        runs.append(run)
-        if record_metrics:
-            reg = get_registry()
-            reg.counter(
-                "repro_fault_campaign_runs_total",
-                "campaign runs by config, kind and verdict",
-            ).inc(config=config.name, kind=name, ok=run.ok)
-            reg.counter(
-                "repro_fault_regime_runs_total",
-                "regime campaign cells by regime and verdict",
-            ).inc(regime=name, config=config.name, ok=run.ok)
-            reg.counter(
-                "repro_fault_regime_faults_total",
-                "faults planned by the failure regimes",
-            ).inc(len(fault_plan.faults), regime=name, config=config.name)
+        runs.append(_cell_run(
+            config, name,
+            "; ".join(f.describe() for f in fault_plan.faults), bool(fired),
+            result is not None and bool(fired)
+            and result.all_faults_detected,
+            result, error, **regime_fields,
+        ))
     return runs
 
 

@@ -506,7 +506,7 @@ def run_resilient(
     desc = description or (
         f"{dg.name} -> {plan.geometry}(m={plan.m}) resilient"
     )
-    runlog.emit(
+    runlog.record(
         "backend", backend=backend_name, design=desc,
         geometry=plan.geometry, m=plan.m,
     )
@@ -589,7 +589,7 @@ def run_resilient(
                 f"{reason}: {len(layout.members)} node(s) host-computed",
             )
         )
-        runlog.emit(
+        runlog.record(
             "degrade", design=desc, sid=repr(s.sid), reason=reason,
             nodes=len(layout.members), words=len(parked),
         )
@@ -670,8 +670,9 @@ def run_resilient(
             for f in injector.triggered_specs:
                 if id(f) not in logged_specs:
                     logged_specs.add(id(f))
-                    runlog.emit(
-                        "fault_inject", design=desc, kind=f.kind.value,
+                    runlog.record(
+                        "fault_inject", metrics=record_metrics,
+                        design=desc, kind=f.kind.value,
                         fault=f.describe(), sid=repr(s.sid),
                         attempt=attempts_this_set,
                     )
@@ -694,7 +695,7 @@ def run_resilient(
                 detected_spec_ids.update(
                     id(f) for f in injector.triggered_specs
                 )
-                runlog.emit(
+                runlog.record(
                     "fault_detect", design=desc, reason=fd.reason,
                     sid=repr(s.sid), attempt=attempts_this_set,
                     nodes=len(fd.nodes),
@@ -764,7 +765,7 @@ def run_resilient(
                                 onset=clock, provenance="escalated",
                             )
                             escalations.append(spec)
-                            runlog.emit(
+                            runlog.record(
                                 "quarantine", design=desc,
                                 cell=repr(cell),
                                 strikes=scoreboard[cell].strikes,
@@ -803,12 +804,12 @@ def run_resilient(
                             f"({provenance}) -> m={cur_m}",
                         )
                     )
-                    runlog.emit(
+                    runlog.record(
                         "repartition", design=desc, sid=repr(s.sid),
                         retired=sorted(map(repr, diagnosed)),
                         new_m=cur_m, provenance=provenance,
                     )
-                    runlog.emit(
+                    runlog.record(
                         "checkpoint", action="restore", design=desc,
                         sid=repr(s.sid),
                         committed=len(store.committed_nodes),
@@ -851,7 +852,7 @@ def run_resilient(
                 s.sid, layout.members, parked,
                 {nid: fires[nid][1] for nid in layout.members},
             )
-            runlog.emit(
+            runlog.record(
                 "checkpoint", action="save", design=desc,
                 sid=repr(s.sid), members=len(layout.members),
                 words=len(parked),
@@ -887,15 +888,16 @@ def run_resilient(
         oracle_ok = all(
             bool(outputs[nid] == oracle[nid]) for nid in dg.outputs
         )
-    runlog.emit(
-        "fault_recover", design=desc, injected=len(injected),
+    runlog.record(
+        "fault_recover", metrics=record_metrics,
+        design=desc, injected=len(injected),
         detected=detected_count, retries=retries,
         repartitions=repartitions, final_m=cur_m,
         total_cycles=clock, overhead_cycles=clock - healthy_cycles,
         quarantined=len(escalations), degraded_gsets=len(degraded_sids),
         degraded_nodes=degraded_nodes,
     )
-    runlog.emit(
+    runlog.record(
         "oracle", design=desc, checked=bool(verify), ok=oracle_ok,
         outputs=len(dg.outputs),
     )
@@ -1048,27 +1050,17 @@ def _preflight_recovery(rp: RecoveryPlan) -> None:
 
 
 def _record_metrics(result: RecoveryResult) -> None:
+    """The fault series no single event fixes: the recovered count
+    (``fault_recover`` and ``oracle``) and the gauges.  The rest are
+    ``runlog.EVENT_METRICS`` rows on ``fault_inject`` / ``fault_recover``.
+    """
     reg = get_registry()
     labels = {"design": result.description}
-    injected = reg.counter(
-        "repro_fault_injected_total", "faults that actually fired, by kind"
-    )
-    for f in result.injected:
-        injected.inc(kind=f.kind.value, **labels)
-    reg.counter(
-        "repro_fault_detected_total", "injected faults caught by a detector"
-    ).inc(result.detected_fault_count, **labels)
     if result.recovered and (result.oracle_ok is not False):
         reg.counter(
             "repro_fault_recovered_total",
             "faults survived with oracle-correct output",
         ).inc(result.detected_fault_count, **labels)
-    reg.counter(
-        "repro_fault_retries_total", "G-set attempt retries"
-    ).inc(result.retries, **labels)
-    reg.counter(
-        "repro_fault_repartitions_total", "mid-run re-partitions"
-    ).inc(result.repartitions, **labels)
     reg.gauge(
         "repro_fault_recovery_overhead_cycles",
         "cycles beyond the fault-free makespan",
@@ -1081,16 +1073,6 @@ def _record_metrics(result: RecoveryResult) -> None:
         "repro_fault_words_parked",
         "checkpoint words written to the cut-and-pile memories",
     ).set(result.words_parked, **labels)
-    if result.escalations:
-        reg.counter(
-            "repro_cell_quarantined_total",
-            "cells quarantined as suspected-permanent by the strike ladder",
-        ).inc(len(result.escalations), **labels)
-    if result.degraded:
-        reg.counter(
-            "repro_fault_degraded_gsets_total",
-            "G-sets retired to the host-side reference computation",
-        ).inc(len(result.degraded_sids), **labels)
     reg.gauge(
         "repro_fault_availability",
         "fraction of cell-cycles the array's cells were in service",

@@ -99,12 +99,9 @@ def test_rl5xx_findings_carry_a_fix_suggestion(base) -> None:
 
 
 def test_rl505_flags_undocumented_fallback_reason(base) -> None:
-    from repro.obs.metrics import get_registry
+    from repro.obs import runlog
 
-    counter = get_registry().counter(
-        "repro_vector_fallback_total",
-        "Runs the vector backend handed to the reference interpreter",
-    )
+    counter = runlog.event_counter("repro_vector_fallback_total")
     counter.inc(reason="probe")  # documented: stays silent
     report = _planner_lint(base, only="plan.fallbacks")
     assert report.ok

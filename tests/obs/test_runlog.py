@@ -51,7 +51,7 @@ def test_ledger_path_respects_env(tmp_path, monkeypatch):
 
 def test_emit_is_noop_without_scope():
     assert runlog.current_run() is None
-    runlog.emit("lint", ok=True)  # must not raise
+    runlog.record("lint", ok=True)  # must not raise
     with runlog.task_scope("t"), stage_span("s"):
         pass
     assert runlog.current_run_id() is None
@@ -64,7 +64,7 @@ def test_run_scope_writes_ledger(tmp_path):
         assert runlog.current_run_id() == rl.run_id
         with runlog.task_scope("task-a"):
             assert runlog.current_task() == "task-a"
-            runlog.emit("oracle", ok=True)
+            runlog.record("oracle", ok=True)
         with stage_span("trials", trials=3):
             pass
     path = tmp_path / f"{rl.run_id}.jsonl"
@@ -86,7 +86,7 @@ def test_nested_run_scope_joins_active_run(tmp_path):
     with runlog.run_scope("faults", {"seed": 0}, dir=tmp_path) as outer:
         with runlog.run_scope("campaign", {"seed": 0}, dir=tmp_path) as inner:
             assert inner is outer
-            runlog.emit("backend", backend="reference")
+            runlog.record("backend", backend="reference")
     assert len(list(tmp_path.glob("*.jsonl"))) == 1
 
 
@@ -94,14 +94,14 @@ def test_disabled_via_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUNLOG", "0")
     with runlog.run_scope("verify", {}, dir=tmp_path) as rl:
         assert rl is None
-        runlog.emit("oracle", ok=True)
+        runlog.record("oracle", ok=True)
     assert list(tmp_path.glob("*.jsonl")) == []
 
 
 def test_error_path_flushes_partial_ledger(tmp_path):
     with pytest.raises(RuntimeError, match="boom"):
         with runlog.run_scope("verify", {"n": 5}, dir=tmp_path) as rl:
-            runlog.emit("backend", backend="reference")
+            runlog.record("backend", backend="reference")
             raise RuntimeError("boom")
     events, problems = runlog.read_ledger(
         tmp_path / f"{rl.run_id}.jsonl"
@@ -118,12 +118,12 @@ def test_error_path_flushes_partial_ledger(tmp_path):
 def test_reserved_field_collision_rejected(tmp_path):
     with runlog.run_scope("verify", {}, dir=tmp_path):
         with pytest.raises(ValueError, match="reserved"):
-            runlog.emit("oracle", seq=7)
+            runlog.record("oracle", seq=7)
 
 
 def test_run_close_metrics_published(tmp_path, _fresh_registry):
     with runlog.run_scope("verify", {"n": 5}, dir=tmp_path):
-        runlog.emit("oracle", ok=True)
+        runlog.record("oracle", ok=True)
     series = {
         (name, tuple(sorted(s["labels"].items()))): s["value"]
         for name, m in _fresh_registry.to_json().items()
@@ -156,7 +156,7 @@ def test_event_cap_drops_with_single_marker(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUNLOG_MAX_EVENTS", "5")
     with runlog.run_scope("verify", {"n": 5}, dir=tmp_path) as rl:
         for i in range(20):
-            runlog.emit("oracle", ok=True, i=i)
+            runlog.record("oracle", ok=True, i=i)
     events, problems = runlog.read_ledger(tmp_path / f"{rl.run_id}.jsonl")
     assert problems == []
     names = [ev["event"] for ev in events]
@@ -178,7 +178,7 @@ def test_event_cap_terminal_events_always_kept(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="boom"):
         with runlog.run_scope("verify", {}, dir=tmp_path) as rl:
             for _ in range(10):
-                runlog.emit("oracle", ok=True)
+                runlog.record("oracle", ok=True)
             raise RuntimeError("boom")
     events, _ = runlog.read_ledger(tmp_path / f"{rl.run_id}.jsonl")
     names = [ev["event"] for ev in events]
@@ -192,7 +192,7 @@ def test_event_cap_publishes_dropped_metric(tmp_path, monkeypatch,
     monkeypatch.setenv("REPRO_RUNLOG_MAX_EVENTS", "3")
     with runlog.run_scope("verify", {}, dir=tmp_path):
         for _ in range(6):
-            runlog.emit("oracle", ok=True)
+            runlog.record("oracle", ok=True)
     doc = _fresh_registry.to_json()["repro_run_events_dropped_total"]
     [series] = doc["series"]
     assert series["labels"] == {"entry": "verify"}
@@ -205,7 +205,7 @@ def test_event_cap_applies_to_absorbed_workers(tmp_path, monkeypatch):
         payload = runlog.worker_payload()
         with runlog.worker_scope(payload, task="cfg-a") as wrl:
             for _ in range(10):
-                runlog.emit("oracle", ok=True)
+                runlog.record("oracle", ok=True)
         rl.absorb(wrl.events)
     events, _ = runlog.read_ledger(tmp_path / f"{rl.run_id}.jsonl")
     assert [ev["seq"] for ev in events] == list(range(len(events)))
@@ -215,7 +215,7 @@ def test_event_cap_applies_to_absorbed_workers(tmp_path, monkeypatch):
 
 def test_no_drops_means_no_marker(tmp_path):
     with runlog.run_scope("verify", {}, dir=tmp_path) as rl:
-        runlog.emit("oracle", ok=True)
+        runlog.record("oracle", ok=True)
     events, _ = runlog.read_ledger(tmp_path / f"{rl.run_id}.jsonl")
     assert all(ev["event"] != "events_dropped" for ev in events)
 
@@ -234,7 +234,7 @@ def test_worker_scope_merge_matches_sequential(tmp_path):
             # the (forked) parent's active scope and restore it after.
             with runlog.worker_scope(payload, task=name) as wrl:
                 assert wrl is not None and wrl is not rl
-                runlog.emit("oracle", ok=True)
+                runlog.record("oracle", ok=True)
             buffers.append(wrl.events)
         assert runlog.current_run() is rl  # parent scope restored
         for events in buffers:
@@ -249,7 +249,7 @@ def test_worker_scope_merge_matches_sequential(tmp_path):
 def test_worker_scope_none_payload_records_nothing():
     with runlog.worker_scope(None, task="x") as rl:
         assert rl is None
-        runlog.emit("oracle", ok=True)  # no-op
+        runlog.record("oracle", ok=True)  # no-op
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_worker_scope_none_payload_records_nothing():
 def _sample_events(tmp_path):
     with runlog.run_scope("verify", {"n": 5}, dir=tmp_path) as rl:
         with stage_span("trials"):
-            runlog.emit("oracle", ok=True)
+            runlog.record("oracle", ok=True)
     events, _ = runlog.read_ledger(tmp_path / f"{rl.run_id}.jsonl")
     return events
 
@@ -315,10 +315,10 @@ def test_read_ledger_reports_bad_lines(tmp_path):
 
 def test_list_runs_and_summarize(tmp_path):
     with runlog.run_scope("verify", {"n": 5}, dir=tmp_path):
-        runlog.emit("oracle", ok=True)
+        runlog.record("oracle", ok=True)
     with runlog.run_scope("campaign", {"seed": 0}, dir=tmp_path):
         with runlog.task_scope("cfg-a"):
-            runlog.emit("oracle", ok=True)
+            runlog.record("oracle", ok=True)
     runs = runlog.list_runs(tmp_path)
     assert len(runs) == 2
     assert {r["entry"] for r in runs} == {"verify", "campaign"}

@@ -13,7 +13,11 @@ before pushing:
 * no lines over the configured limit (ruff E501);
 * in ``repro.core`` and ``repro.lint`` (the strictly-typed packages,
   see ``mypy.ini``): every function def annotates its parameters and
-  return type.
+  return type;
+* outside ``repro.obs``, no ``.counter(`` / ``.gauge(`` /
+  ``.histogram(`` call names a metric of the run ledger's
+  ``EVENT_METRICS`` table: those counters are updated only by
+  ``runlog.record()``, from the events they count.
 
 Exit status 1 when any finding is reported.
 """
@@ -29,6 +33,32 @@ STRICT_PACKAGES = ("src/repro/core", "src/repro/lint")
 
 #: Names whose import is a registration/re-export side effect, not a use.
 USED_IMPLICITLY = {"annotations"}
+
+#: The module holding ``EVENT_METRICS``, and the package allowed to
+#: touch the metrics it owns.
+EVENT_TABLE = "src/repro/obs/runlog.py"
+OBS_PACKAGE = "src/repro/obs/"
+METRIC_METHODS = {"counter", "gauge", "histogram"}
+
+
+def table_metrics(root: Path) -> set[str]:
+    """Metric names of the ``EVENT_METRICS`` rows (each row's 2nd arg)."""
+    tree = ast.parse((root / EVENT_TABLE).read_text())
+    for node in tree.body:
+        target = (
+            node.target if isinstance(node, ast.AnnAssign)
+            else node.targets[0] if isinstance(node, ast.Assign)
+            else None
+        )
+        if isinstance(target, ast.Name) and target.id == "EVENT_METRICS":
+            return {
+                row.args[1].value
+                for row in ast.walk(node)
+                if isinstance(row, ast.Call)
+                and len(row.args) > 1
+                and isinstance(row.args[1], ast.Constant)
+            }
+    return set()
 
 
 def _imported_names(
@@ -90,7 +120,9 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-def check_file(path: Path, strict_types: bool) -> list[str]:
+def check_file(
+    path: Path, strict_types: bool, owned: "set[str] | None" = None
+) -> list[str]:
     src = path.read_text()
     problems: list[str] = []
     try:
@@ -127,6 +159,22 @@ def check_file(path: Path, strict_types: bool) -> list[str]:
         if bound not in used:
             problems.append(f"{path}:{lineno}: unused import {reported!r}")
 
+    for node in ast.walk(tree):
+        if (
+            owned
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in METRIC_METHODS
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in owned
+        ):
+            problems.append(
+                f"{path}:{node.lineno}: {node.args[0].value!r} is an "
+                f"EVENT_METRICS counter: record its event with "
+                f"runlog.record() instead"
+            )
+
     if strict_types:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -160,10 +208,16 @@ def check_file(path: Path, strict_types: bool) -> list[str]:
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(".")
     problems: list[str] = []
+    owned = table_metrics(root)
     for path in sorted((root / "src").rglob("*.py")):
         rel = path.relative_to(root).as_posix()
         strict = any(rel.startswith(p) for p in STRICT_PACKAGES)
-        problems.extend(check_file(path, strict_types=strict))
+        problems.extend(
+            check_file(
+                path, strict_types=strict,
+                owned=None if rel.startswith(OBS_PACKAGE) else owned,
+            )
+        )
     for line in problems:
         print(line)
     n_files = len(list((root / "src").rglob("*.py")))
