@@ -23,8 +23,8 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.core` — the methodology: graph IR, analyses,
   transformations, G-graphs, G-sets, schedules, metrics;
 * :mod:`repro.algorithms` — dependence-graph front-ends (transitive
-  closure stages of Figs. 10-17, matmul, LU, Faddeev, Givens, triangular
-  inverse) and software oracles;
+  closure stages of Figs. 10-17, LU, Faddeev, Givens) and software
+  oracles;
 * :mod:`repro.arrays` — array topologies, execution plans, the
   cycle-level simulator, the Fig. 21 host interface, fault analysis;
 * :mod:`repro.partitioning` — coalescing (Fig. 1), sub-algorithm

@@ -57,28 +57,9 @@ class FaultReport:
         return Fraction(self.healthy_time, self.degraded_time)
 
     @property
-    def slowdown(self) -> Fraction:
-        """``T_degraded / T_healthy`` — at least 1; the inverse lens on
-        :attr:`retention` for reports quoting runtime growth."""
-        return Fraction(self.degraded_time, self.healthy_time)
-
-    @property
     def cells_lost(self) -> int:
         """Cells retired per failure scenario (bypass vs row retirement)."""
         return self.m - self.cells_used
-
-    @property
-    def availability(self) -> Fraction:
-        """Fraction of the array's cells still in service (<= 1).
-
-        The static steady-state view of
-        :attr:`repro.resilience.runtime.RecoveryResult.availability`:
-        that measured number integrates each cell's live cycles over
-        one faulty run, while this one assumes the failures happened
-        before the run — the limit the measured availability approaches
-        as onsets move toward cycle 0.
-        """
-        return Fraction(self.cells_used, self.m)
 
 
 def degraded_linear(gg: GGraph, m: int, failures: int = 1) -> FaultReport:

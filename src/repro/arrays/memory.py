@@ -44,16 +44,6 @@ class MemoryReport:
         """Ports that actually carried traffic."""
         return len(set(self.port_writes) | set(self.port_reads))
 
-    @property
-    def max_port_load(self) -> int:
-        """Heaviest single port (reads + writes) — the wiring hot spot."""
-        loads: dict[Hashable, int] = {}
-        for port, w in self.port_writes.items():
-            loads[port] = loads.get(port, 0) + w
-        for port, r in self.port_reads.items():
-            loads[port] = loads.get(port, 0) + r
-        return max(loads.values(), default=0)
-
 
 def _port_of(plan: ExecutionPlan, cell: Hashable) -> Hashable:
     """The memory tap a cell uses.

@@ -1,31 +1,19 @@
 """Command-line interface: explore the reproduction from a terminal.
 
-Examples::
+Examples (docs/api_tour.md, "Command line", walks through the verbs)::
 
-    python -m repro stages --n 6
-    python -m repro partition --n 12 --m 4 --geometry linear --simulate
-    python -m repro ggraph --algorithm lu --n 8
-    python -m repro schedule --n 12 --m 4 --policy vertical
-    python -m repro level --n 6 --k 2
-    python -m repro fixed --n 9
-    python -m repro lint --n 12 --m 4
+    python -m repro partition --n 12 --m 4 --simulate --backend vector
     python -m repro lint --experiments --format sarif --out lint.sarif
     python -m repro faults --seed 0 --experiments --jobs 2
     python -m repro trace --n 12 --m 4 --trace-out t.json
     python -m repro bench F18 F19 --backend vector --jobs 2
-    python -m repro partition --n 12 --m 4 --simulate --backend vector
-    python -m repro stats --n 12 --m 4
-    python -m repro perfcheck --baseline benchmarks/perf_baseline.json \\
-        --current benchmarks/out/history.jsonl
-    python -m repro dashboard --out dash.html --n 9 --m 3
-    python -m repro profile --experiment F18 --backend vector \\
-        --flame-out flame.svg
-    python -m repro profile --n 9 --m 3 --json --out profile.json
+    python -m repro profile --experiment F18 --flame-out flame.svg
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -33,6 +21,54 @@ from typing import Iterator, Sequence
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+#: :data:`repro.core.gsets.SCHEDULE_POLICIES`' names, pinned to it by
+#: tests/test_cli.py: importing ``core.gsets`` here would put networkx
+#: on every verb's import path (``repro closure`` included).
+POLICIES = ("vertical", "horizontal", "wavefront")
+
+#: Below n=3 every transitive-closure node is superfluous
+#: (``algorithms.transitive_closure``; pinned by tests/test_cli.py).
+MIN_N = 3
+
+
+def _int_at_least(low: int, what: str):
+    """An argparse ``type``: an int ``>= low``, else an error naming it."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:  # int() failing reads "invalid int value"
+            raise argparse.ArgumentTypeError(f"{what}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _design_args(s, *, n=12, m=None, packed=False, seed=False, backend=None,
+                 n_help="problem size") -> None:
+    """Add the design block ``--n/--m/--geometry/--policy/--packed/--seed/
+    --backend`` to subparser ``s``, or the subset a verb asks for.
+
+    ``m`` also adds ``--geometry`` and ``--policy``; ``backend`` is the
+    ``--backend`` help.  Bad ``--n``/``--m``/``--policy`` values exit 2
+    at parse time; :func:`main` checks the two-argument mesh rule.
+    """
+    s.add_argument("--n", default=n, help=n_help, type=_int_at_least(
+        MIN_N, f"transitive-closure graphs need n >= {MIN_N}"))
+    if m is not None:
+        s.add_argument("--m", default=m, help="number of cells",
+                       type=_int_at_least(1, "the array needs m >= 1 cell"))
+        s.add_argument("--geometry", choices=("linear", "mesh"),
+                       default="linear")
+        s.add_argument("--policy", choices=POLICIES, default="vertical")
+    if packed:
+        s.add_argument("--packed", action="store_true", help="pack G-sets "
+                       "instead of the paper's skew alignment")
+    if seed:
+        s.add_argument("--seed", type=int, default=0)
+    if backend is not None:
+        s.add_argument("--backend", choices=("reference", "vector"),
+                       default=None, help=backend)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,21 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("stages", help="property census of the Figs. 10-16 pipeline")
-    s.add_argument("--n", type=int, default=6, help="problem size")
+    _design_args(s, n=6)
 
     s = sub.add_parser("partition", help="partition transitive closure onto an array")
-    s.add_argument("--n", type=int, default=12)
-    s.add_argument("--m", type=int, default=4, help="number of cells")
-    s.add_argument("--geometry", choices=("linear", "mesh"), default="linear")
-    s.add_argument("--policy", default="vertical")
-    s.add_argument("--packed", action="store_true",
-                   help="pack G-sets instead of the paper's skew alignment")
+    _design_args(s, m=4, packed=True, seed=True,
+                 backend="simulator backend (default: REPRO_SIM_BACKEND or "
+                         "reference; see docs/simulator.md)")
     s.add_argument("--simulate", action="store_true",
                    help="cycle-simulate on a random instance and verify")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--backend", choices=("reference", "vector"), default=None,
-                   help="simulator backend (default: REPRO_SIM_BACKEND or "
-                        "reference; see docs/simulator.md)")
     s.add_argument("--trace-out", metavar="FILE", default=None,
                    help="with --simulate: write a Chrome trace JSON of the "
                         "pipeline stages and the simulated cycles")
@@ -67,33 +96,24 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ggraph", help="render a G-graph's computation times")
     s.add_argument("--algorithm", choices=("tc", "lu", "faddeev", "givens"),
                    default="tc")
-    s.add_argument("--n", type=int, default=8)
+    s.add_argument("--n", type=int, default=8, help="problem size")
 
     s = sub.add_parser("schedule", help="show the G-set schedule order")
-    s.add_argument("--n", type=int, default=12)
-    s.add_argument("--m", type=int, default=4)
-    s.add_argument("--geometry", choices=("linear", "mesh"), default="linear")
-    s.add_argument("--policy", default="vertical")
+    _design_args(s, m=4)
 
     s = sub.add_parser("level", help="render one level of the Fig. 16 grid")
-    s.add_argument("--n", type=int, default=6)
+    _design_args(s, n=6)
     s.add_argument("--k", type=int, default=0, help="level index")
 
     s = sub.add_parser("fixed", help="simulate the Fig. 17 fixed-size array")
-    s.add_argument("--n", type=int, default=9)
-    s.add_argument("--seed", type=int, default=0)
+    _design_args(s, n=9, seed=True)
 
     s = sub.add_parser(
         "lint",
         help="statically check a design against the paper's invariants "
              "(RLxxx diagnostics; see docs/static-analysis.md)",
     )
-    s.add_argument("--n", type=int, default=12)
-    s.add_argument("--m", type=int, default=4)
-    s.add_argument("--geometry", choices=("linear", "mesh"), default="linear")
-    s.add_argument("--policy", default="vertical")
-    s.add_argument("--packed", action="store_true",
-                   help="pack G-sets instead of the paper's skew alignment")
+    _design_args(s, m=4, packed=True)
     s.add_argument("--experiments", action="store_true",
                    help="lint every shipped configuration (the CI gate's "
                         "workload) instead of one design")
@@ -189,16 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full pipeline + simulation under the tracer and "
              "write a Chrome trace JSON (open in Perfetto)",
     )
-    s.add_argument("--n", type=int, default=12)
-    s.add_argument("--m", type=int, default=4)
-    s.add_argument("--geometry", choices=("linear", "mesh"), default="linear")
-    s.add_argument("--policy", default="vertical")
-    s.add_argument("--packed", action="store_true")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--backend", choices=("reference", "vector"), default=None,
-                   help="simulator backend; tracing installs a probe, so "
-                        "the vector backend falls back to the reference "
-                        "interpreter for the traced run itself")
+    _design_args(s, m=4, packed=True, seed=True,
+                 backend="simulator backend; tracing installs a probe, so "
+                         "the vector backend falls back to the reference "
+                         "interpreter for the traced run itself")
     s.add_argument("--trace-out", metavar="FILE", default="trace.json")
 
     s = sub.add_parser(
@@ -261,12 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the pipeline + simulation under the metrics registry and "
              "print measured vs. closed-form (Sec. 4.2) metrics",
     )
-    s.add_argument("--n", type=int, default=12)
-    s.add_argument("--m", type=int, default=4)
-    s.add_argument("--geometry", choices=("linear", "mesh"), default="linear")
-    s.add_argument("--policy", default="vertical")
-    s.add_argument("--packed", action="store_true")
-    s.add_argument("--seed", type=int, default=0)
+    _design_args(s, m=4, packed=True, seed=True)
     s.add_argument("--format", choices=("prom", "json"), default="prom",
                    help="registry export format (default: Prometheus text)")
 
@@ -295,16 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile one shipped experiment (e.g. F18); "
                         "includes per-config critical paths for the "
                         "F18/F19 sweeps")
-    s.add_argument("--n", type=int, default=None,
-                   help="profile one ad-hoc partitioned design instead "
-                        "of an experiment")
-    s.add_argument("--m", type=int, default=4)
-    s.add_argument("--geometry", choices=("linear", "mesh"), default="linear")
-    s.add_argument("--policy", default="vertical")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--backend", choices=("reference", "vector"), default=None,
-                   help="simulator backend to profile (default: "
-                        "REPRO_SIM_BACKEND or reference)")
+    _design_args(s, n=None, m=4, seed=True,
+                 backend="simulator backend to profile (default: "
+                         "REPRO_SIM_BACKEND or reference)",
+                 n_help="profile one ad-hoc partitioned design instead "
+                        "of an experiment (n=12 when no mode is given)")
     s.add_argument("--top", type=int, default=10, metavar="K",
                    help="rows per table: phases, kernels, hotspots "
                         "(default: 10)")
@@ -375,11 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
              "curves, run ledger)",
     )
     s.add_argument("--out", metavar="FILE", default="dashboard.html")
-    s.add_argument("--n", type=int, default=9)
-    s.add_argument("--m", type=int, default=3)
-    s.add_argument("--geometry", choices=("linear", "mesh"), default="linear")
-    s.add_argument("--policy", default="vertical")
-    s.add_argument("--seed", type=int, default=0)
+    _design_args(s, n=9, m=3, seed=True)
     s.add_argument("--sizes", default=None,
                    help="comma-separated n values for the closed-form sweep "
                         "(default: around --n)")
@@ -408,6 +408,15 @@ def _write_text(path, text: str) -> None:
     p.write_text(text)
 
 
+def _emit(body: str, out: str | None, note: str) -> None:
+    """Print a verb's report, or write it to ``out`` and print ``note``."""
+    if out:
+        _write_text(out, body + "\n")
+        print(note)
+    else:
+        print(body)
+
+
 def _cmd_stages(args) -> int:
     from .algorithms.transitive_closure import TC_STAGES
     from .viz import render_stage_table
@@ -416,15 +425,11 @@ def _cmd_stages(args) -> int:
     return 0
 
 
-def _run_traced_pipeline(args, trace_path=None):
+def _run_traced_pipeline(args):
     """Build + simulate one partitioned closure under tracer and probe.
 
     Returns ``(impl, result, ok, tracer, probe)`` — the shared machinery
-    of ``trace``, ``stats`` and ``partition --trace-out``.  When
-    ``trace_path`` is given and the run raises, the valid partial Chrome
-    trace (with a terminal ``trace.error`` event) is still flushed there
-    before the exception propagates — see
-    :func:`repro.obs.tracing.traced_run`.
+    of ``trace``, ``stats`` and ``partition --trace-out``.
     """
     from .algorithms.transitive_closure import make_inputs
     from .algorithms.warshall import random_adjacency, warshall
@@ -433,10 +438,10 @@ def _run_traced_pipeline(args, trace_path=None):
     from .obs import RecordingProbe, probe_chrome_events
     from .obs.tracing import traced_run
 
-    with traced_run(trace_path) as tracer:
+    with traced_run() as tracer:
         impl = partition_transitive_closure(
             n=args.n, m=args.m, geometry=args.geometry,
-            policy=args.policy, aligned=not getattr(args, "packed", False),
+            policy=args.policy, aligned=not args.packed,
         )
         probe = RecordingProbe()
         a = random_adjacency(args.n, seed=args.seed)
@@ -459,56 +464,55 @@ def _cmd_partition(args) -> int:
     if args.trace_out and not args.simulate:
         print("--trace-out requires --simulate", file=sys.stderr)
         return 2
-    if args.simulate and args.trace_out:
+    if args.trace_out:
         impl, res, ok, tracer, _probe = _run_traced_pipeline(args)
-        print(f"G-graph: {impl.gg}")
-        for key, value in impl.report.row().items():
-            print(f"  {key:>12}: {value}")
-        n_events = tracer.write_chrome(args.trace_out)
-        print(f"simulation: makespan={res.makespan} violations="
-              f"{len(res.violations)} correct={ok}")
-        print(f"trace: {args.trace_out} ({n_events} events, "
-              f"{len(tracer.spans)} spans)")
-        return 0 if (ok and res.ok) else 1
-
-    impl = partition_transitive_closure(
-        n=args.n, m=args.m, geometry=args.geometry,
-        policy=args.policy, aligned=not args.packed,
-    )
+    else:
+        impl = partition_transitive_closure(
+            n=args.n, m=args.m, geometry=args.geometry,
+            policy=args.policy, aligned=not args.packed,
+        )
     print(f"G-graph: {impl.gg}")
     for key, value in impl.report.row().items():
         print(f"  {key:>12}: {value}")
-    if args.simulate:
+    if not args.simulate:
+        return 0
+    if not args.trace_out:
         a = random_adjacency(args.n, seed=args.seed)
         res = impl.simulate(a, backend=args.backend)
         ok = bool(np.array_equal(res.output_matrix(args.n), warshall(a)))
-        print(f"simulation: makespan={res.makespan} violations="
-              f"{len(res.violations)} correct={ok}")
-        if not (ok and res.ok):
-            return 1
-    return 0
+    print(f"simulation: makespan={res.makespan} violations="
+          f"{len(res.violations)} correct={ok}")
+    if args.trace_out:
+        n_events = tracer.write_chrome(args.trace_out)
+        print(f"trace: {args.trace_out} ({n_events} events, "
+              f"{len(tracer.spans)} spans)")
+    return 0 if (ok and res.ok) else 1
 
 
 def _cmd_ggraph(args) -> int:
     from .viz import render_ggraph_times
 
-    if args.algorithm == "tc":
-        from .algorithms.transitive_closure import tc_regular
-        from .core.ggraph import GGraph, group_by_columns
+    try:
+        if args.algorithm == "tc":
+            from .algorithms.transitive_closure import tc_regular
+            from .core.ggraph import GGraph, group_by_columns
 
-        gg = GGraph(tc_regular(args.n), group_by_columns)
-    elif args.algorithm == "lu":
-        from .algorithms.lu import lu_ggraph
+            gg = GGraph(tc_regular(args.n), group_by_columns)
+        elif args.algorithm == "lu":
+            from .algorithms.lu import lu_ggraph
 
-        gg = lu_ggraph(args.n)
-    elif args.algorithm == "faddeev":
-        from .algorithms.faddeev import faddeev_ggraph
+            gg = lu_ggraph(args.n)
+        elif args.algorithm == "faddeev":
+            from .algorithms.faddeev import faddeev_ggraph
 
-        gg = faddeev_ggraph(args.n)
-    else:
-        from .algorithms.givens import givens_ggraph
+            gg = faddeev_ggraph(args.n)
+        else:
+            from .algorithms.givens import givens_ggraph
 
-        gg = givens_ggraph(args.n)
+            gg = givens_ggraph(args.n)
+    except ValueError as exc:  # each front-end checks its own minimum n
+        print(f"ggraph: {exc}", file=sys.stderr)
+        return 2
     print(gg)
     print(render_ggraph_times(gg))
     return 0
@@ -564,11 +568,8 @@ def _cmd_lint(args) -> int:
         lint_shipped_configs,
     )
 
-    modes = sum(
-        1 for on in (args.experiments, bool(args.config),
-                     args.from_run is not None) if on
-    )
-    if modes > 1:
+    modes = (args.experiments, bool(args.config), args.from_run is not None)
+    if sum(modes) > 1:
         print("lint: --experiments, --config and --from-run are mutually "
               "exclusive", file=sys.stderr)
         return 2
@@ -695,11 +696,8 @@ def _cmd_lint(args) -> int:
                 doc["runs"].extend(one["runs"])
         body = json.dumps(doc, indent=2, sort_keys=True)
 
-    if args.out:
-        _write_text(args.out, body + "\n")
-        print(f"lint: wrote {args.format} report to {args.out} ({summary})")
-    else:
-        print(body)
+    _emit(body, args.out,
+          f"lint: wrote {args.format} report to {args.out} ({summary})")
     for note in notes:
         print(f"lint: {note}")
     return 1 if errors else 0
@@ -786,19 +784,26 @@ def _cmd_faults(args) -> int:
         body = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     else:
         body = result.to_text()
-    if args.out:
-        good = sum(1 for r in result.runs if r.ok)
-        _write_text(args.out, body + "\n")
-        print(f"faults: wrote {args.format} report to {args.out} "
-              f"({good}/{len(result.runs)} runs ok)")
-    else:
-        print(body)
+    good = sum(1 for r in result.runs if r.ok)
+    _emit(body, args.out, f"faults: wrote {args.format} report to {args.out} "
+                          f"({good}/{len(result.runs)} runs ok)")
     return 0 if result.ok else 1
+
+
+def _print_tables(results) -> None:
+    """Print ``(experiment id, rows)`` pairs as titled tables."""
+    from .experiments import EXPERIMENTS
+    from .viz import format_table
+
+    for eid, rows in results:
+        exp = EXPERIMENTS[eid]
+        print(f"== {exp.exp_id}: {exp.title} ==")
+        print(format_table(rows))
+        print()
 
 
 def _cmd_reproduce(args) -> int:
     from .experiments import EXPERIMENTS
-    from .viz import format_table
 
     if not args.exp:
         print("available experiments:")
@@ -809,11 +814,7 @@ def _cmd_reproduce(args) -> int:
     if unknown:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    for eid in args.exp:
-        exp = EXPERIMENTS[eid]
-        print(f"== {exp.exp_id}: {exp.title} ==")
-        print(format_table(exp.run()))
-        print()
+    _print_tables((eid, EXPERIMENTS[eid].run()) for eid in args.exp)
     return 0
 
 
@@ -909,11 +910,7 @@ def _cmd_closure(args) -> int:
                 f"wall={c['wall_s']}s agree={c['agree']}"
             )
         body = "\n".join(lines)
-    if args.out:
-        _write_text(args.out, body + "\n")
-        print(f"closure: wrote summary to {args.out}")
-    else:
-        print(body)
+    _emit(body, args.out, f"closure: wrote summary to {args.out}")
     return 0 if agree in (None, True) else 1
 
 
@@ -974,8 +971,7 @@ def _bench_dataset(args) -> int:
         from .core.partitioner import partition_transitive_closure
 
         closed = unpack_rows(oracle.words, ds.n)
-        impl = partition_transitive_closure(n=ds.n, m=args.m
-                                            if hasattr(args, "m") else 4)
+        impl = partition_transitive_closure(n=ds.n, m=4)
         inputs = make_inputs(ds.adjacency())
         for backend in ("reference", "vector"):
             t0 = perf_counter()
@@ -1002,7 +998,6 @@ def _bench_dataset(args) -> int:
 def _cmd_bench(args) -> int:
     from .experiments import EXPERIMENTS
     from .experiments.runner import run_experiments
-    from .viz import format_table
 
     if args.dataset:
         return _bench_dataset(args)
@@ -1014,11 +1009,7 @@ def _cmd_bench(args) -> int:
     except KeyError as exc:
         print(f"bench: {exc.args[0]}", file=sys.stderr)
         return 2
-    for eid, rows in results:
-        exp = EXPERIMENTS[eid]
-        print(f"== {exp.exp_id}: {exp.title} ==")
-        print(format_table(rows))
-        print()
+    _print_tables(results)
     return 0
 
 
@@ -1132,6 +1123,22 @@ def _cmd_perfcheck(args) -> int:
     return 1 if regressions else 0
 
 
+def _read_ledger(verb: str, run_id: str, ledger_dir) -> "list[dict] | None":
+    """``run_id``'s ledger events, or ``None`` once the error is printed."""
+    from .obs import runlog
+
+    path = runlog.ledger_path(run_id, ledger_dir)
+    try:
+        events, problems = runlog.read_ledger(path)
+    except OSError as exc:
+        print(f"{verb}: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    if problems:
+        print(f"{verb}: {len(problems)} corrupt line(s) skipped",
+              file=sys.stderr)
+    return events
+
+
 @contextmanager
 def _recorded_stages() -> Iterator[list[dict]]:
     """Record the block's ledger events in memory, even with no run open.
@@ -1168,17 +1175,9 @@ def _cmd_profile(args) -> int:
         return 2
 
     if args.from_run is not None:
-        from .obs import runlog
-
-        path = runlog.ledger_path(args.from_run, args.dir)
-        try:
-            events, problems = runlog.read_ledger(path)
-        except OSError as exc:
-            print(f"profile: cannot read {path}: {exc}", file=sys.stderr)
+        events = _read_ledger("profile", args.from_run, args.dir)
+        if events is None:
             return 1
-        if problems:
-            print(f"profile: {len(problems)} corrupt line(s) skipped",
-                  file=sys.stderr)
         phases = prof.profile_from_runlog(events, root_name=args.from_run)
         doc = prof.build_profile_document(phases, wall_s=phases.total_s)
         base_id = args.from_run
@@ -1269,12 +1268,8 @@ def _cmd_profile(args) -> int:
         json.dumps(doc, indent=2, sort_keys=True) if args.json
         else prof.render_profile_text(doc, top=args.top)
     )
-    if args.out:
-        _write_text(args.out, body + "\n")
-        print(f"profile: wrote {'json' if args.json else 'text'} report "
-              f"to {args.out}")
-    else:
-        print(body)
+    _emit(body, args.out, f"profile: wrote {'json' if args.json else 'text'} "
+                          f"report to {args.out}")
 
     if args.flame_out:
         from .viz import svg_flamegraph
@@ -1322,28 +1317,17 @@ def _cmd_obs(args) -> int:
                 )
                 return 1
             run_id = summaries[0]["run"]
-        path = runlog.ledger_path(run_id, args.dir)
-        try:
-            events, problems = runlog.read_ledger(path)
-        except OSError as exc:
-            print(f"obs: cannot read {path}: {exc}", file=sys.stderr)
+        events = _read_ledger("obs", run_id, args.dir)
+        if events is None:
             return 1
         print(runlog.format_show(events))
-        if problems:
-            print(f"obs: {len(problems)} corrupt line(s) skipped",
-                  file=sys.stderr)
         return 0
 
     if args.obs_command == "diff":
-        loaded = []
-        for run_id in (args.run_a, args.run_b):
-            path = runlog.ledger_path(run_id, args.dir)
-            try:
-                events, _problems = runlog.read_ledger(path)
-            except OSError as exc:
-                print(f"obs: cannot read {path}: {exc}", file=sys.stderr)
-                return 1
-            loaded.append(events)
+        loaded = [_read_ledger("obs", r, args.dir)
+                  for r in (args.run_a, args.run_b)]
+        if loaded[0] is None or loaded[1] is None:
+            return 1
         text, identical = runlog.format_diff(
             loaded[0], loaded[1], args.run_a, args.run_b
         )
@@ -1351,15 +1335,8 @@ def _cmd_obs(args) -> int:
         return 0 if identical else 1
 
     # verify
-    if args.run_ids:
-        targets = [
-            (rid, runlog.ledger_path(rid, args.dir)) for rid in args.run_ids
-        ]
-    else:
-        targets = [
-            (s["run"], runlog.ledger_path(s["run"], args.dir))
-            for s in runlog.list_runs(args.dir)
-        ]
+    run_ids = args.run_ids or [s["run"] for s in runlog.list_runs(args.dir)]
+    targets = [(rid, runlog.ledger_path(rid, args.dir)) for rid in run_ids]
     if not targets:
         print(f"obs: no ledgers under {runlog.runlog_dir(args.dir)}",
               file=sys.stderr)
@@ -1392,8 +1369,10 @@ def _cmd_dashboard(args) -> int:
         try:
             sizes = sorted({int(s) for s in args.sizes.split(",") if s.strip()})
         except ValueError:
-            print(f"dashboard: bad --sizes {args.sizes!r} (want e.g. 6,9,12)",
-                  file=sys.stderr)
+            sizes = []
+        if not sizes or sizes[0] < MIN_N:
+            print(f"dashboard: bad --sizes {args.sizes!r} (want n >= {MIN_N}, "
+                  "e.g. 6,9,12)", file=sys.stderr)
             return 2
     from .obs import runlog as _runlog
 
@@ -1440,7 +1419,10 @@ _LEDGER_VERBS = frozenset(
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "geometry", None) == "mesh" and math.isqrt(args.m) ** 2 != args.m:
+        parser.error(f"--geometry mesh needs a perfect-square --m, got {args.m}")
     handler = _COMMANDS[args.command]
     if args.command in _LEDGER_VERBS:
         from .obs import runlog

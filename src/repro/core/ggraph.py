@@ -180,10 +180,6 @@ class GGraph:
         """(number of rows, number of columns) of the G-space grid."""
         return (len(self.rows), len(self.cols))
 
-    def comp_times(self) -> dict[GNodeId, int]:
-        """Computation time of every G-node."""
-        return {gid: gn.comp_time for gid, gn in self.gnodes.items()}
-
     def is_uniform_time(self) -> bool:
         """True when all G-nodes have the same computation time (Fig. 17)."""
         times = {gn.comp_time for gn in self.gnodes.values()}

@@ -44,6 +44,8 @@ __all__ = [
     "infer_skew",
     "gset_dependences",
     "schedule_gsets",
+    "ScheduleCheck",
+    "check_schedule",
     "verify_schedule",
     "ScheduleError",
     "SCHEDULE_POLICIES",
@@ -304,12 +306,67 @@ def schedule_gsets(
     return order
 
 
+@dataclass(frozen=True)
+class ScheduleCheck:
+    """What :func:`check_schedule` finds in one pile order.
+
+    ``position``: G-set id -> (last) pile slot.  ``backward``:
+    ``(producer set, consumer set)`` -> G-edges issued consumer first.
+    ``duplicated`` / ``unplanned``: ``(slot, sid)`` per order entry that
+    repeats a set or names one the plan lacks.  ``missing``: sorted ids
+    of planned sets never issued.
+    """
+
+    position: dict[tuple, int]
+    backward: dict[tuple[tuple, tuple], int]
+    duplicated: tuple[tuple[int, tuple], ...]
+    unplanned: tuple[tuple[int, tuple], ...]
+    missing: tuple[tuple, ...]
+
+    @property
+    def covers(self) -> bool:
+        """True when the order issues every planned G-set exactly once."""
+        return not (self.duplicated or self.unplanned or self.missing)
+
+
+def check_schedule(plan: GSetPlan, order: Sequence[GSet]) -> ScheduleCheck:
+    """The one pile-order legality predicate, derived from the G-edges.
+
+    A cyclic plan shows up as backward pairs instead of raising.  G-edges
+    touching a G-node of no set, or a set the order leaves out, are
+    coverage findings and are skipped here.
+    """
+    planned = {s.sid for s in plan.gsets}
+    position: dict[tuple, int] = {}
+    duplicated: list[tuple[int, tuple]] = []
+    unplanned: list[tuple[int, tuple]] = []
+    for idx, s in enumerate(order):
+        if s.sid in position:
+            duplicated.append((idx, s.sid))
+        if s.sid not in planned:
+            unplanned.append((idx, s.sid))
+        position[s.sid] = idx
+    set_of = plan.set_of
+    backward: dict[tuple[tuple, tuple], int] = {}
+    for gu, gv in plan.gg.g.edges:
+        su, sv = set_of.get(gu), set_of.get(gv)
+        if su is None or sv is None or su == sv:
+            continue
+        pu, pv = position.get(su), position.get(sv)
+        if pu is not None and pv is not None and pu >= pv:
+            backward[(su, sv)] = backward.get((su, sv), 0) + 1
+    return ScheduleCheck(
+        position, backward, tuple(duplicated), tuple(unplanned),
+        tuple(sorted(planned - position.keys())),
+    )
+
+
 def verify_schedule(plan: GSetPlan, order: Sequence[GSet]) -> None:
-    """Assert that ``order`` issues every G-set after its dependences."""
-    dag = gset_dependences(plan)
-    position = {s.sid: idx for idx, s in enumerate(order)}
-    if len(position) != len(plan.gsets):
+    """Raise :class:`ScheduleError` unless ``order`` issues every G-set
+    exactly once, after the G-sets it depends on (:func:`check_schedule`)."""
+    check = check_schedule(plan, order)
+    if not check.covers:
         raise ScheduleError("order does not cover every G-set exactly once")
-    for su, sv in dag.edges:
-        if position[su] >= position[sv]:
-            raise ScheduleError(f"G-set {sv} issued before its dependence {su}")
+    if check.backward:
+        su, sv = next(iter(check.backward))
+        raise ScheduleError(f"G-set {sv} issued before its dependence {su}")

@@ -628,7 +628,3 @@ class LintReport:
                 }
             ],
         }
-
-    def to_sarif_json(self, indent: int | None = 2) -> str:
-        """``json.dumps`` of :meth:`to_sarif`."""
-        return json.dumps(self.to_sarif(), indent=indent, sort_keys=True)

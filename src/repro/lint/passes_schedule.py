@@ -12,16 +12,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..core.gsets import GSet
+from ..core.gsets import check_schedule
 from .diagnostics import Diagnostic, Severity
 from .passes_graph import _capped
 from .registry import LintTarget, lint_pass
 
 __all__: list[str] = []
-
-
-def _positions(order: Iterable[GSet]) -> dict[tuple, int]:
-    return {s.sid: idx for idx, s in enumerate(order)}
 
 
 @lint_pass(
@@ -30,25 +26,14 @@ def _positions(order: Iterable[GSet]) -> dict[tuple, int]:
 def check_causality(target: LintTarget) -> Iterable[Diagnostic]:
     """RL201: a G-set consumes a value produced by a later G-set.
 
-    Derived directly from the G-edges (not from
-    :func:`repro.core.gsets.gset_dependences`, which raises on cyclic
-    plans — a lint pass must *report* those, and RL201 on both
-    directions of a cycle is exactly that report).
+    Formats the backward pairs of :func:`repro.core.gsets.check_schedule`,
+    which reports a cyclic plan instead of raising on it: RL201 on both
+    directions of a cycle is exactly that report.
     """
     plan, order = target.plan, target.order
     assert plan is not None and order is not None
-    position = _positions(order)
-    set_of = plan.set_of
-    bad: dict[tuple[tuple, tuple], int] = {}
-    for gu, gv in plan.gg.g.edges:
-        su, sv = set_of.get(gu), set_of.get(gv)
-        if su is None or sv is None or su == sv:
-            continue  # uncovered G-nodes are RL203's finding
-        pu, pv = position.get(su), position.get(sv)
-        if pu is None or pv is None:
-            continue  # incomplete orders are RL204's finding
-        if pu >= pv:
-            bad[(su, sv)] = bad.get((su, sv), 0) + 1
+    check = check_schedule(plan, order)
+    position = check.position
     diags = [
         Diagnostic(
             code="RL201",
@@ -62,7 +47,7 @@ def check_causality(target: LintTarget) -> Iterable[Diagnostic]:
             "before its consumers (Sec. 3 cut-and-pile causality)",
             gsets=(su, sv),
         )
-        for (su, sv), count in bad.items()
+        for (su, sv), count in check.backward.items()
     ]
     return _capped(diags, "RL201", len(diags))
 
@@ -192,33 +177,25 @@ def check_order_coverage(target: LintTarget) -> Iterable[Diagnostic]:
     """RL204: pile order does not cover the plan's G-sets exactly once."""
     plan, order = target.plan, target.order
     assert plan is not None and order is not None
-    planned = {s.sid for s in plan.gsets}
-    seen: set[tuple] = set()
-    diags: list[Diagnostic] = []
-    for s in order:
-        if s.sid in seen:
-            diags.append(
-                Diagnostic(
-                    code="RL204",
-                    severity=Severity.ERROR,
-                    message=f"G-set {s.sid} appears twice in the pile order",
-                    gsets=(s.sid,),
-                )
-            )
-        seen.add(s.sid)
-        if s.sid not in planned:
-            diags.append(
-                Diagnostic(
-                    code="RL204",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"pile order contains G-set {s.sid} that is not "
-                        "in the plan"
-                    ),
-                    gsets=(s.sid,),
-                )
-            )
-    missing = sorted(planned - seen)
+    check = check_schedule(plan, order)
+    faults = sorted(
+        [(idx, 0, sid) for idx, sid in check.duplicated]
+        + [(idx, 1, sid) for idx, sid in check.unplanned]
+    )
+    diags = [
+        Diagnostic(
+            code="RL204",
+            severity=Severity.ERROR,
+            message=(
+                f"pile order contains G-set {sid} that is not in the plan"
+                if unplanned
+                else f"G-set {sid} appears twice in the pile order"
+            ),
+            gsets=(sid,),
+        )
+        for _, unplanned, sid in faults
+    ]
+    missing = check.missing
     if missing:
         diags.append(
             Diagnostic(
@@ -226,7 +203,7 @@ def check_order_coverage(target: LintTarget) -> Iterable[Diagnostic]:
                 severity=Severity.ERROR,
                 message=(
                     f"{len(missing)} planned G-set(s) missing from the "
-                    f"pile order (first: {missing[:4]})"
+                    f"pile order (first: {list(missing[:4])})"
                 ),
                 gsets=tuple(missing[:4]),
             )

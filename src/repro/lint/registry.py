@@ -275,10 +275,13 @@ def run_lint(
         ran.append(lp.name)
     report.passes_run = tuple(ran)
     report.passes_skipped = tuple(skipped)
+    # An uncounted run says so in its event, so the ledger alone can
+    # rebuild repro_lint_runs_total.
+    uncounted = {} if record_metrics else {"counted": False}
     runlog.record(
         "lint", metrics=record_metrics, target=target.description,
         ok=report.ok, errors=len(report.errors),
-        warnings=len(report.warnings), passes=len(ran),
+        warnings=len(report.warnings), passes=len(ran), **uncounted,
     )
     if record_metrics:
         # Per-code counts are not in the ``lint`` event, so this counter

@@ -261,15 +261,6 @@ class RecoveryResult:
         return Fraction(self.healthy_cycles, self.total_cycles)
 
     @property
-    def slowdown(self) -> Fraction:
-        """``T_run / T_healthy`` (>= 1) — the inverse lens on
-        :attr:`degraded_throughput`, matching
-        :attr:`repro.arrays.faults.FaultReport.slowdown`."""
-        if self.healthy_cycles <= 0:
-            return Fraction(1)
-        return Fraction(self.total_cycles, self.healthy_cycles)
-
-    @property
     def degraded(self) -> bool:
         """True when any G-set was retired to the host (graceful tier)."""
         return bool(self.degraded_sids)

@@ -49,6 +49,3 @@ def test_retention_and_slowdown_semantics(tc_gg8) -> None:
     rep = degraded_linear(tc_gg8, m=4, failures=1)
     assert rep.retention == Fraction(rep.healthy_time, rep.degraded_time)
     assert rep.retention <= 1
-    assert rep.slowdown == Fraction(rep.degraded_time, rep.healthy_time)
-    assert rep.slowdown >= 1
-    assert rep.retention * rep.slowdown == 1

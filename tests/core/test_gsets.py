@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.core.gsets import (
     SCHEDULE_POLICIES,
     GSetPlan,
     ScheduleError,
+    check_schedule,
     gset_dependences,
     infer_skew,
     make_linear_gsets,
@@ -147,12 +150,30 @@ class TestScheduling:
         bad = list(reversed(order))
         with pytest.raises(ScheduleError, match="before its dependence"):
             verify_schedule(plan, bad)
+        # Reversed, every G-set dependence runs backward, once per G-edge.
+        check = check_schedule(plan, bad)
+        assert check.covers
+        assert set(check.backward) == set(gset_dependences(plan).edges)
+        set_of = plan.set_of
+        assert sum(check.backward.values()) == sum(
+            1 for gu, gv in plan.gg.g.edges if set_of[gu] != set_of[gv]
+        )
+        assert not check_schedule(plan, order).backward
 
     def test_verify_rejects_incomplete_schedule(self) -> None:
         plan = make_linear_gsets(tc_gg(6), 3)
         order = schedule_gsets(plan)
         with pytest.raises(ScheduleError, match="every G-set"):
             verify_schedule(plan, order[:-1])
+        # An unplanned set standing in for the last one: coverage, not a
+        # KeyError on the missing set's pile slot.
+        stray = dataclasses.replace(order[-1], sid=("x", 99))
+        with pytest.raises(ScheduleError, match="every G-set"):
+            verify_schedule(plan, order[:-1] + [stray])
+        check = check_schedule(plan, order[:-1] + [stray])
+        assert check.unplanned == ((len(order) - 1, ("x", 99)),)
+        assert check.missing == (order[-1].sid,)
+        assert not check.backward and not check.duplicated
 
     @given(n=st.integers(4, 9), m=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)

@@ -136,6 +136,21 @@ def test_rl204_truncated_pile_order(impl) -> None:
     assert "missing" in report.by_code("RL204")[0].message
 
 
+def test_rl204_unplanned_set_replaces_the_last(impl) -> None:
+    t = LintTarget.from_implementation(impl, build_exec_plan=False)
+    order = list(t.order)
+    stray = dataclasses.replace(order[-1], sid=("x", 99))
+    report = run_lint(dataclasses.replace(t, order=order[:-1] + [stray]))
+    messages = [d.message for d in report.by_code("RL204")]
+    assert messages == [
+        "pile order contains G-set ('x', 99) that is not in the plan",
+        f"1 planned G-set(s) missing from the pile order "
+        f"(first: [{order[-1].sid}])",
+    ]
+    assert "RL001" not in report.codes()  # no checker crash
+    assert not report.ok
+
+
 # ----------------------------------------------------------------------
 # RL3xx — array mutations
 # ----------------------------------------------------------------------

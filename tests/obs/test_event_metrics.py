@@ -45,12 +45,9 @@ def registry():
 
 
 def _uncounted(ev: dict) -> bool:
-    # The resilient runtime's policy and resume gates call
-    # run_lint(record_metrics=False): their ``lint`` events are in the
-    # ledger on purpose, but count no lint run.
-    return ev["event"] == "lint" and (
-        ev["target"] == "recovery policy" or ev["target"].startswith("resume ")
-    )
+    # run_lint(record_metrics=False) (the resilient runtime's policy and
+    # resume gates) marks its ``lint`` event as counting no lint run.
+    return ev.get("counted", True) is False
 
 
 def _recompute(rule: runlog.CounterRule, events: list[dict]) -> dict:

@@ -66,7 +66,6 @@ def test_static_retention_equals_measured_throughput_ratio(gg, matrix) -> None:
     degraded = _measured_clock(gg, M - F, matrix)
     assert Fraction(healthy, degraded) == report.retention
     assert report.retention <= 1
-    assert report.slowdown == 1 / report.retention
 
 
 def test_fault_driven_run_is_bounded_by_the_static_prediction(
@@ -92,4 +91,3 @@ def test_mesh_static_report_is_consistent() -> None:
     report = degraded_mesh(gg8, 4, 1)
     assert report.cells_lost == 2  # one fault retires a whole 1x2 row
     assert report.retention <= 1
-    assert report.retention * report.slowdown == 1

@@ -29,11 +29,9 @@ PUBLIC_MODULES = [
     "repro.core.partitioner",
     "repro.algorithms.warshall",
     "repro.algorithms.transitive_closure",
-    "repro.algorithms.matmul",
     "repro.algorithms.lu",
     "repro.algorithms.faddeev",
     "repro.algorithms.givens",
-    "repro.algorithms.triangular_inverse",
     "repro.algorithms.workloads",
     "repro.arrays.topology",
     "repro.arrays.plan",
@@ -43,7 +41,6 @@ PUBLIC_MODULES = [
     "repro.arrays.pipeline",
     "repro.arrays.faults",
     "repro.arrays.cost",
-    "repro.arrays.program",
     "repro.experiments",
     "repro.partitioning.coalescing",
     "repro.partitioning.decomposition",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -147,6 +149,55 @@ def test_parser_requires_command() -> None:
 def test_unknown_command_rejected() -> None:
     with pytest.raises(SystemExit):
         build_parser().parse_args(["teleport"])
+
+
+#: argv -> the bad value its one-line error must name.
+BAD_DESIGN_ARGS = [
+    ("stages --n 0", "0"),
+    ("ggraph --n 1", "1"),
+    ("fixed --n 1", "1"),
+    ("trace --n 2", "2"),
+    ("dashboard --n 1", "1"),
+    ("dashboard --sizes 1,9", "1,9"),
+    ("partition --n 1", "1"),
+    ("partition --n 12 --m 0", "0"),
+    ("partition --geometry mesh --m 5", "5"),
+    ("schedule --n 12 --m 0", "0"),
+    ("stats --n 12 --m 0", "0"),
+    ("lint --n 12 --m 0", "0"),
+    ("profile --n 12 --m 0", "0"),
+    ("partition --policy nope", "nope"),
+    ("schedule --policy nope", "nope"),
+    ("profile --policy nope", "nope"),
+]
+
+
+@pytest.mark.parametrize("argv, bad", BAD_DESIGN_ARGS)
+def test_bad_design_argument_exits_two(capsys, argv: str, bad: str) -> None:
+    try:
+        rc = main(argv.split())
+    except SystemExit as exc:  # argparse's own usage error
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(rf"\b{bad}\b", err.strip().splitlines()[-1])
+
+
+def test_policy_names_are_the_schedulers() -> None:
+    from repro.cli import POLICIES
+    from repro.core.gsets import SCHEDULE_POLICIES
+
+    assert POLICIES == tuple(SCHEDULE_POLICIES)
+
+
+def test_min_n_is_the_closure_front_ends() -> None:
+    from repro.algorithms.transitive_closure import tc_full
+    from repro.cli import MIN_N
+
+    tc_full(MIN_N)
+    with pytest.raises(ValueError, match=f"n >= {MIN_N}"):
+        tc_full(MIN_N - 1)
 
 
 def test_trace_out_creates_parent_dirs(capsys, tmp_path) -> None:

@@ -17,7 +17,12 @@ before pushing:
 * outside ``repro.obs``, no ``.counter(`` / ``.gauge(`` /
   ``.histogram(`` call names a metric of the run ledger's
   ``EVENT_METRICS`` table: those counters are updated only by
-  ``runlog.record()``, from the events they count.
+  ``runlog.record()``, from the events they count;
+* every ``src/repro`` module is reached by an import walk from the user
+  entry points (the CLI, ``python -m repro``, the experiment registry,
+  the scripts under ``benchmarks/``, ``examples/`` and ``tools/``, and
+  the lazy ``_LAZY`` export table): a module only tests import is dead
+  code.
 
 Exit status 1 when any finding is reported.
 """
@@ -39,6 +44,10 @@ USED_IMPLICITLY = {"annotations"}
 EVENT_TABLE = "src/repro/obs/runlog.py"
 OBS_PACKAGE = "src/repro/obs/"
 METRIC_METHODS = {"counter", "gauge", "histogram"}
+
+#: Where users enter the package: modules, and directories of scripts.
+ENTRY_MODULES = ("repro.__main__", "repro.cli", "repro.experiments")
+ENTRY_DIRS = ("benchmarks", "examples", "tools")
 
 
 def table_metrics(root: Path) -> set[str]:
@@ -205,6 +214,77 @@ def check_file(
     return problems
 
 
+def _src_modules(root: Path) -> dict[str, Path]:
+    """Dotted module name -> file, for every module under ``src/``."""
+    mods = {}
+    for path in (root / "src").rglob("*.py"):
+        parts = path.relative_to(root / "src").with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        mods[".".join(parts)] = path
+    return mods
+
+
+def _referenced(path: Path, package: str) -> set[str]:
+    """Module names ``path`` may load: its imports (function-local ones
+    included, with ``from m import x`` also naming ``m.x``) and the
+    values of a ``_LAZY = {name: ".module"}`` export table.  Relative
+    names resolve against ``package``."""
+
+    def absolute(name: str, level: int) -> str:
+        if not level:
+            return name
+        base = package.split(".")[: len(package.split(".")) - level + 1]
+        return ".".join(base + ([name] if name else []))
+
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mod = absolute(node.module or "", node.level)
+            out.add(mod)
+            out.update(f"{mod}.{alias.name}" for alias in node.names)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_LAZY"
+                    for t in node.targets)
+            and isinstance(node.value, ast.Dict)
+        ):
+            for v in node.value.values:
+                if isinstance(v, ast.Constant) and isinstance(v.value, str):
+                    text = v.value
+                    level = len(text) - len(text.lstrip("."))
+                    out.add(absolute(text[level:], level))
+    return out
+
+
+def unreached_modules(root: Path) -> list[str]:
+    """``src`` modules no entry point imports, directly or transitively.
+
+    Importing ``a.b.c`` also runs ``a`` and ``a.b``, so packages on the
+    way count as reached.
+    """
+    mods = _src_modules(root)
+    todo = [m for m in ENTRY_MODULES if m in mods]
+    for d in ENTRY_DIRS:
+        for script in sorted((root / d).rglob("*.py")):
+            todo.extend(_referenced(script, ""))
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        parts = name.split(".")
+        for i in range(1, len(parts) + 1):
+            mod = ".".join(parts[:i])
+            if mod in mods and mod not in reached:
+                reached.add(mod)
+                package = mod if mods[mod].name == "__init__.py" else (
+                    mod.rpartition(".")[0]
+                )
+                todo.extend(_referenced(mods[mod], package))
+    return sorted(set(mods) - reached)
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(".")
     problems: list[str] = []
@@ -218,6 +298,10 @@ def main(argv: list[str]) -> int:
                 owned=None if rel.startswith(OBS_PACKAGE) else owned,
             )
         )
+    problems.extend(
+        f"{name}: no entry point imports this module (only tests reach it)"
+        for name in unreached_modules(root)
+    )
     for line in problems:
         print(line)
     n_files = len(list((root / "src").rglob("*.py")))
