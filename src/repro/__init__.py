@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .core.ggraph import GGraph, group_by_columns, group_by_rows  # noqa: F401
-    from .core.graph import Axis, DependenceGraph, NodeKind, PortRef, port  # noqa: F401
+    from .core.graph import DependenceGraph, NodeKind, PortRef, port  # noqa: F401
     from .core.partitioner import (  # noqa: F401
         PartitionedImplementation,
         partition,
@@ -71,7 +71,6 @@ _LAZY = {
     "partition_transitive_closure": ".core.partitioner",
     "DependenceGraph": ".core.graph",
     "NodeKind": ".core.graph",
-    "Axis": ".core.graph",
     "PortRef": ".core.graph",
     "port": ".core.graph",
     "GGraph": ".core.ggraph",

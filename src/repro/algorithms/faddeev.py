@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, port
+from ..core.graph import DependenceGraph, NodeId, port
 from ..core.evaluate import evaluate
 from ..core.ggraph import GGraph, GNodeId
 
@@ -69,7 +69,6 @@ def faddeev_graph(n: int) -> DependenceGraph:
                 {"a": val(k - 1, i, k), "b": pivot},
                 pos=(k, i, k),
                 tag="compute",
-                axes={"a": Axis.LEVEL, "b": Axis.VERTICAL},
             )
         for idx, i in enumerate(level_rows):
             for j in range(k + 1, cols):
@@ -85,7 +84,6 @@ def faddeev_graph(n: int) -> DependenceGraph:
                     {"a": val(k - 1, i, j), "b": b_src, "c": c_src},
                     pos=(k, i, j),
                     tag="compute",
-                    axes={"a": Axis.LEVEL, "b": Axis.HORIZONTAL, "c": Axis.VERTICAL},
                 )
     # Result: the lower-right block after all n eliminations.
     for i in range(n, rows):

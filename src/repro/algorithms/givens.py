@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, port
+from ..core.graph import DependenceGraph, NodeId, port
 from ..core.evaluate import evaluate
 from ..core.ggraph import GGraph, GNodeId
 
@@ -53,7 +53,6 @@ def givens_graph(n: int) -> DependenceGraph:
                 {"a": row_val[(k, k)], "b": row_val[(i, k)]},
                 pos=(k, i, k),
                 tag="compute",
-                axes={"a": Axis.VERTICAL, "b": Axis.LEVEL},
             )
             row_val[(k, k)] = None  # consumed; becomes the new r (set below)
             # After the rotation, a[k,k] := r = c*old_akk + s*a[i,k]; we
@@ -77,7 +76,6 @@ def givens_graph(n: int) -> DependenceGraph:
                     {"a": row_val[(k, j)], "b": row_val[(i, j)], "r": prev_rot},
                     pos=(k, i, j),
                     tag="compute",
-                    axes={"r": Axis.HORIZONTAL},
                 )
                 dg.add_op(
                     ri,

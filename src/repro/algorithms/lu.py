@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, port
+from ..core.graph import DependenceGraph, NodeId, port
 from ..core.evaluate import evaluate
 from ..core.ggraph import GGraph, GNodeId
 
@@ -61,7 +61,6 @@ def lu_graph(n: int) -> DependenceGraph:
                 {"a": val(k - 1, i, k), "b": pivot},
                 pos=(k, i, k),
                 tag="compute",
-                axes={"a": Axis.LEVEL, "b": Axis.VERTICAL},
             )
         for i in range(k + 1, n):
             for j in range(k + 1, n):
@@ -75,7 +74,6 @@ def lu_graph(n: int) -> DependenceGraph:
                     {"a": val(k - 1, i, j), "b": b_src, "c": c_src},
                     pos=(k, i, j),
                     tag="compute",
-                    axes={"a": Axis.LEVEL, "b": Axis.HORIZONTAL, "c": Axis.VERTICAL},
                 )
     # Outputs: L (multipliers) and U (frozen rows).
     for i in range(n):

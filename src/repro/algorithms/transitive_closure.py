@@ -1,17 +1,20 @@
 """Dependence-graph pipeline for transitive closure (Section 3 / Figs. 10-17).
 
-This module constructs, as explicit :class:`~repro.core.graph.DependenceGraph`
-objects, every stage the paper draws for the transitive-closure algorithm:
+This module produces, as explicit :class:`~repro.core.graph.DependenceGraph`
+objects, every stage the paper draws for the transitive-closure algorithm.
+Stages B and C are rewrites of stage A; D and E are built directly (see
+DESIGN.md §4, "Two pipelining models"):
 
 =================  ==============================================
 :func:`tc_full`            Fig. 10 — fully-parallel graph, ``n^3`` op nodes,
                            row and element broadcasting.
-:func:`tc_pruned`          Fig. 11 — superfluous nodes removed;
+:func:`tc_pruned`          Fig. 11 — superfluous nodes removed by
+                           :func:`~repro.core.transform.prune_superfluous`;
                            ``n(n-1)(n-2)`` op nodes remain.
-:func:`tc_pipelined`       Fig. 12 — broadcasting replaced by pipelined
-                           chains; *bi-directional* data flow (chains grow
-                           outward from the broadcast source in both
-                           directions).
+:func:`tc_pipelined`       Fig. 12 — ``tc_pruned`` with its broadcasts
+                           rewired into pipelined chains; *bi-directional*
+                           data flow (chains grow outward from the
+                           broadcast source in both directions).
 :func:`tc_unidirectional`  Fig. 13/14 — nodes flipped across the broadcast
                            sources (realised as the cyclic re-indexing
                            ``r=(i-k) mod n``, ``c=(j-k) mod n``); flow is
@@ -64,9 +67,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.graph import Axis, DependenceGraph, NodeId, PortRef, port
-from ..core.semiring import BOOLEAN, Semiring
 from ..core.evaluate import evaluate
+from ..core.graph import DependenceGraph, NodeId, PortRef, port
+from ..core.semiring import BOOLEAN, Semiring
+from ..core.transform import prune_superfluous
 
 __all__ = [
     "tc_full",
@@ -74,7 +78,6 @@ __all__ = [
     "tc_pipelined",
     "tc_unidirectional",
     "tc_regular",
-    "tc_stage",
     "TC_STAGES",
     "InputGrid",
     "OutputGrid",
@@ -82,6 +85,7 @@ __all__ = [
     "read_output_matrix",
     "run_graph",
     "is_computed",
+    "is_superfluous",
     "expected_full_ops",
     "expected_computed_ops",
     "expected_regular_slots",
@@ -101,6 +105,13 @@ def is_computed(n: int, k: int, i: int, j: int) -> bool:
     value they would compute.
     """
     return i != k and j != k and i != j
+
+
+def is_superfluous(dg: DependenceGraph, nid: NodeId) -> bool:
+    """Fig. 11's :func:`~repro.core.transform.prune_superfluous` predicate:
+    the FPDG op node ``("op", k, i, j)`` is not :func:`is_computed`."""
+    _, k, i, j = nid
+    return i == k or j == k or i == j
 
 
 def expected_full_ops(n: int) -> int:
@@ -155,7 +166,6 @@ def tc_full(n: int) -> DependenceGraph:
                     },
                     pos=(k, i, j),
                     tag="compute",
-                    axes={"a": Axis.LEVEL, "b": Axis.BROADCAST, "c": Axis.BROADCAST},
                 )
     for i in range(n):
         for j in range(n):
@@ -175,38 +185,8 @@ def tc_pruned(n: int) -> DependenceGraph:
     are carried by the edge from their last actual producer (the data
     line simply stretches over the removed node).
     """
-    _check_n(n)
-    dg = DependenceGraph(f"tc_pruned(n={n})")
-    for i in range(n):
-        for j in range(n):
-            dg.add_input(("in", i, j), pos=(-1, i, j))
-
-    def val(k: int, i: int, j: int) -> NodeId:
-        while k >= 0 and not is_computed(n, k, i, j):
-            k -= 1
-        return ("in", i, j) if k < 0 else ("op", k, i, j)
-
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if not is_computed(n, k, i, j):
-                    continue
-                dg.add_op(
-                    ("op", k, i, j),
-                    "mac",
-                    {
-                        "a": val(k - 1, i, j),
-                        "b": val(k - 1, i, k),
-                        "c": val(k - 1, k, j),
-                    },
-                    pos=(k, i, j),
-                    tag="compute",
-                    axes={"a": Axis.LEVEL, "b": Axis.BROADCAST, "c": Axis.BROADCAST},
-                )
-    for i in range(n):
-        for j in range(n):
-            dg.add_output(("out", i, j), val(n - 1, i, j), pos=(n, i, j))
-    _attach_drawing(dg, n, flipped=False)
+    dg = prune_superfluous(tc_full(n), is_superfluous)
+    dg.name = f"tc_pruned(n={n})"
     return dg
 
 
@@ -224,68 +204,24 @@ def tc_pipelined(n: int) -> DependenceGraph:
     bi-directional flow the flip transformations of Fig. 13 remove.
     Positions remain in global ``(k, i, j)`` coordinates.
     """
-    _check_n(n)
-    dg = DependenceGraph(f"tc_pipelined(n={n})")
-    for i in range(n):
-        for j in range(n):
-            dg.add_input(("in", i, j), pos=(-1, i, j))
-
-    def val(k: int, i: int, j: int) -> NodeId:
-        while k >= 0 and not is_computed(n, k, i, j):
-            k -= 1
-        return ("in", i, j) if k < 0 else ("op", k, i, j)
-
+    dg = tc_pruned(n)
+    dg.name = f"tc_pipelined(n={n})"
     for k in range(n):
-        # b-operand source for each consumer, threaded along the row.
-        b_src: dict[tuple[int, int], NodeId | PortRef] = {}
-        for i in range(n):
-            if i == k:
+        for x in range(n):
+            if x == k:
                 continue
-            source = val(k - 1, i, k)
-            for js in (range(k + 1, n), range(k - 1, -1, -1)):
-                prev: NodeId | PortRef = source
-                for j in js:
-                    if not is_computed(n, k, i, j):
-                        continue
-                    b_src[(i, j)] = prev
-                    prev = port(("op", k, i, j), "b")
-        # c-operand source for each consumer, threaded down the column.
-        c_src: dict[tuple[int, int], NodeId | PortRef] = {}
-        for j in range(n):
-            if j == k:
-                continue
-            source = val(k - 1, k, j)
-            for is_ in (range(k + 1, n), range(k - 1, -1, -1)):
-                prev = source
-                for i in is_:
-                    if not is_computed(n, k, i, j):
-                        continue
-                    c_src[(i, j)] = prev
-                    prev = port(("op", k, i, j), "c")
-        # Add nodes outward from the broadcast sources so every chain
-        # predecessor exists before its consumer (chains run away from
-        # row/column k in both directions).
-        level_nodes = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if is_computed(n, k, i, j)
-        ]
-        level_nodes.sort(key=lambda ij: abs(ij[0] - k) + abs(ij[1] - k))
-        for i, j in level_nodes:
-            dg.add_op(
-                ("op", k, i, j),
-                "mac",
-                {"a": val(k - 1, i, j), "b": b_src[(i, j)], "c": c_src[(i, j)]},
-                pos=(k, i, j),
-                tag="compute",
-                axes={"a": Axis.LEVEL, "b": Axis.DIAGONAL, "c": Axis.VERTICAL},
-            )
-    for i in range(n):
-        for j in range(n):
-            dg.add_output(("out", i, j), val(n - 1, i, j), pos=(n, i, j))
-    _attach_drawing(dg, n, flipped=False)
+            # Row x's b chain and column x's c chain, each way from k.
+            for run in (range(k + 1, n), range(k - 1, -1, -1)):
+                _chain(dg, [("op", k, x, y) for y in run if y != x], "b")
+                _chain(dg, [("op", k, y, x) for y in run if y != x], "c")
     return dg
+
+
+def _chain(dg: DependenceGraph, nodes: list[NodeId], role: str) -> None:
+    """Thread ``role`` through ``nodes``: each reads its predecessor's
+    forwarding port; the first keeps reading the broadcast source."""
+    for prev, nid in zip(nodes, nodes[1:]):
+        dg.rewire(nid, role, port(prev, role))
 
 
 # ----------------------------------------------------------------------
@@ -354,14 +290,12 @@ def _grid_graph(n: int, with_delay_column: bool, name: str) -> DependenceGraph:
                     {"a": a, "b": b, "c": cc},
                     pos=(k, r, c),
                     tag=tag,
-                    axes={"a": Axis.LEVEL, "b": Axis.HORIZONTAL, "c": Axis.VERTICAL},
                 )
             if with_delay_column:
                 dg.add_delay(
                     ("dly", k, r),
                     port(("cell", k, r, n - 1), "b"),
                     pos=(k, r, n),
-                    axis=Axis.HORIZONTAL,
                     tag="delay",
                 )
 
@@ -418,17 +352,6 @@ TC_STAGES = {
     "unidirectional": tc_unidirectional,
     "regular": tc_regular,
 }
-
-
-def tc_stage(stage: str, n: int) -> DependenceGraph:
-    """Construct the named pipeline stage for problem size ``n``."""
-    try:
-        ctor = TC_STAGES[stage]
-    except KeyError:
-        raise ValueError(
-            f"unknown stage {stage!r}; choose from {tuple(TC_STAGES)}"
-        ) from None
-    return ctor(n)
 
 
 # ----------------------------------------------------------------------

@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--remap", action="store_true",
                    help="with --dataset FILE: compact arbitrary external "
                         "vertex ids to 0..n-1")
-    s.add_argument("--sources", type=int, default=64, metavar="K",
+    s.add_argument("--sources", default=64, metavar="K",
+                   type=_int_at_least(1, "needs at least one source"),
                    help="with --dataset: sampled source count for the "
                         "per-source engines on graphs above the dense "
                         "cutoff (default: 64, deterministic)")
@@ -259,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run ENGINE and assert bit-identical "
                         "agreement (sampled sources above the dense "
                         "cutoff; exit 1 on disagreement)")
-    s.add_argument("--check-sources", type=int, default=64, metavar="K",
+    s.add_argument("--check-sources", default=64, metavar="K",
+                   type=_int_at_least(1, "needs at least one source"),
                    help="sources sampled for --check on graphs above the "
                         "dense cutoff (default: 64, deterministic)")
     s.add_argument("--n", type=int, default=None,
@@ -399,13 +401,17 @@ def _write_text(path, text: str) -> None:
 
     Every ``--out``/``--trace-out``-style writer goes through here so
     ``repro lint --out reports/lint.sarif`` works without a prior
-    ``mkdir``.
+    ``mkdir``.  A path that cannot be written exits 2 with one line.
     """
     from pathlib import Path
 
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(text)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(text)
+    except OSError as exc:
+        print(f"repro: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _emit(body: str, out: str | None, note: str) -> None:

@@ -56,7 +56,6 @@ import networkx as nx
 
 __all__ = [
     "NodeKind",
-    "Axis",
     "OP_ROLES",
     "DependenceGraph",
     "GraphError",
@@ -91,17 +90,6 @@ class NodeKind(enum.Enum):
     def occupies_slot(self) -> bool:
         """True for nodes that consume one array cell-cycle when executed."""
         return self in (NodeKind.OP, NodeKind.PASS, NodeKind.DELAY)
-
-
-class Axis(str, enum.Enum):
-    """Communication-direction tag for an edge (drawing semantics)."""
-
-    VERTICAL = "vertical"  # within a level, down the rows
-    HORIZONTAL = "horizontal"  # within a level, along a row
-    DIAGONAL = "diagonal"  # within a level, along a diagonal
-    LEVEL = "level"  # between consecutive levels (k -> k+1)
-    IO = "io"  # to/from the host
-    BROADCAST = "broadcast"  # one-to-many fan-out (pre-transformation)
 
 
 #: Operand roles required by each opcode, in canonical order.
@@ -209,7 +197,6 @@ class DependenceGraph:
         pos: tuple | None = None,
         comp_time: int = 1,
         tag: str | None = None,
-        axes: Mapping[str, Axis | str] | None = None,
     ) -> NodeId:
         """Add a computation node.
 
@@ -221,8 +208,6 @@ class DependenceGraph:
             Mapping from role name to the producer (node id or
             :class:`PortRef`); must supply exactly the roles the opcode
             requires.
-        axes:
-            Optional per-role communication-axis tags.
         """
         roles = OP_ROLES.get(opcode)
         if roles is None:
@@ -232,9 +217,8 @@ class DependenceGraph:
                 f"opcode {opcode!r} requires roles {roles}, got {tuple(operands)}"
             )
         self._add_node(nid, NodeKind.OP, opcode=opcode, pos=pos, comp_time=comp_time, tag=tag)
-        axes = axes or {}
         for role, src in operands.items():
-            self._wire(src, nid, role=role, axis=axes.get(role))
+            self._wire(src, nid, role)
         return nid
 
     def add_pass(
@@ -242,7 +226,6 @@ class DependenceGraph:
         nid: NodeId,
         src: "NodeId | PortRef",
         pos: tuple | None = None,
-        axis: Axis | str | None = None,
         kind: NodeKind = NodeKind.PASS,
         tag: str | None = None,
     ) -> NodeId:
@@ -250,7 +233,7 @@ class DependenceGraph:
         if kind not in (NodeKind.PASS, NodeKind.DELAY):
             raise GraphError(f"add_pass kind must be PASS or DELAY, got {kind}")
         self._add_node(nid, kind, pos=pos, comp_time=1, tag=tag)
-        self._wire(src, nid, role="a", axis=axis)
+        self._wire(src, nid, "a")
         return nid
 
     def add_delay(
@@ -258,11 +241,10 @@ class DependenceGraph:
         nid: NodeId,
         src: "NodeId | PortRef",
         pos: tuple | None = None,
-        axis: Axis | str | None = None,
         tag: str | None = None,
     ) -> NodeId:
         """Add a delay node (regularization padding, Fig. 4b / Fig. 15)."""
-        return self.add_pass(nid, src, pos=pos, axis=axis, kind=NodeKind.DELAY, tag=tag)
+        return self.add_pass(nid, src, pos=pos, kind=NodeKind.DELAY, tag=tag)
 
     def add_output(
         self,
@@ -273,13 +255,11 @@ class DependenceGraph:
     ) -> NodeId:
         """Add a primary-output node fed by ``src``."""
         self._add_node(nid, NodeKind.OUTPUT, pos=pos, tag=tag, comp_time=0)
-        self._wire(src, nid, role="a", axis=Axis.IO)
+        self._wire(src, nid, "a")
         self._outputs.append(nid)
         return nid
 
-    def _wire(
-        self, src: Hashable, dst: NodeId, role: str, axis: Axis | str | None
-    ) -> None:
+    def _wire(self, src: Hashable, dst: NodeId, role: str) -> None:
         src_node, src_port = _split_source(src)
         if src_node not in self.g:
             raise GraphError(f"edge from unknown node {src_node!r}")
@@ -297,14 +277,8 @@ class DependenceGraph:
                 f"node {src_node!r} has no output port {src_port!r} "
                 f"(available: {self.output_ports(src_node)})"
             )
-        if isinstance(axis, str):
-            axis = Axis(axis)
         self.g.nodes[dst]["operands"][role] = (src_node, src_port)
-        if self.g.has_edge(src_node, dst):
-            data = self.g.edges[src_node, dst]
-            data["roles"] = data["roles"] + (role,)
-        else:
-            self.g.add_edge(src_node, dst, roles=(role,), role=role, src_port=src_port, axis=axis)
+        self.g.add_edge(src_node, dst)
 
     def rewire(self, dst: NodeId, role: str, new_src: "NodeId | PortRef") -> None:
         """Re-point operand ``role`` of ``dst`` at a different producer.
@@ -315,16 +289,11 @@ class DependenceGraph:
         ops = self.g.nodes[dst]["operands"]
         if role not in ops:
             raise GraphError(f"node {dst!r} has no operand role {role!r}")
-        old_node, _ = ops[role]
-        # Drop the structural edge if no other role still uses it.
-        remaining = [r for r, (s, _) in ops.items() if s == old_node and r != role]
-        if not remaining and self.g.has_edge(old_node, dst):
+        old_node, _ = ops.pop(role)
+        # Drop the structural edge unless another role still reads it.
+        if all(s != old_node for s, _ in ops.values()):
             self.g.remove_edge(old_node, dst)
-        elif self.g.has_edge(old_node, dst):
-            data = self.g.edges[old_node, dst]
-            data["roles"] = tuple(r for r in data["roles"] if r != role)
-        del ops[role]
-        self._wire(new_src, dst, role=role, axis=None)
+        self._wire(new_src, dst, role)
 
     def remove_node(self, nid: NodeId) -> None:
         """Remove ``nid`` (callers must have rewired its consumers first)."""
@@ -377,10 +346,6 @@ class DependenceGraph:
     def pos(self, nid: NodeId) -> tuple | None:
         """Drawing position of ``nid`` (or None)."""
         return self.g.nodes[nid].get("pos")
-
-    def set_pos(self, nid: NodeId, pos: tuple) -> None:
-        """Reposition ``nid`` (used by the flip transformations)."""
-        self.g.nodes[nid]["pos"] = pos
 
     def operands(self, nid: NodeId) -> dict[str, tuple[NodeId, str]]:
         """Mapping role -> ``(producer id, producer port)``."""

@@ -6,21 +6,18 @@ the graph*:
 * :func:`prune_superfluous` — delete operations that provably do not
   change their value (Fig. 11), stretching the data lines across them;
 * :func:`pipeline_broadcasts` — replace every one-to-many fan-out by a
-  pipelined chain threaded through the consumers (Fig. 4a / Fig. 12);
+  pipelined chain threaded through the consumers (Fig. 4a);
   consumers forward the operand on their output port, so no extra
-  hardware nodes are needed where a consumer already occupies the slot;
-* :func:`insert_delay` — put delay nodes on an edge to equalise path
-  lengths / regularise a communication pattern (Fig. 4b / Fig. 15c);
-* :func:`reindex_positions` — re-embed the drawing (the *flip*
-  transformations of Fig. 13 are position re-indexings: the wiring order
-  of the pipelined chains is chosen by ``order_key``, the drawing by the
-  new positions).
+  hardware nodes are needed where a consumer already occupies the slot.
 
 The transitive-closure front-end (:mod:`repro.algorithms.transitive_closure`)
-constructs each stage directly for exact control of the geometry; the
-tests demonstrate that these generic rewrites reproduce the same
-properties (e.g. ``pipeline_broadcasts(tc_pruned(n))`` kills every
-broadcast while preserving the computed closure).
+derives Fig. 11 as ``prune_superfluous(tc_full(n), is_superfluous)`` and
+Fig. 12 by :meth:`~repro.core.graph.DependenceGraph.rewire`-ing each
+level's row and column broadcasts into chains that run outward from the
+source, both ways.  :func:`pipeline_broadcasts` is a different model:
+one chain per value, in ``order_key`` order, which takes every fan-out
+to 1 (experiment F04).  The flipped and delayed stages (Figs. 13-16) are
+built directly; DESIGN.md ("Two pipelining models") says why.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ from .graph import (
 __all__ = [
     "prune_superfluous",
     "pipeline_broadcasts",
-    "insert_delay",
-    "reindex_positions",
     "TransformError",
 ]
 
@@ -123,9 +118,9 @@ def pipeline_broadcasts(
     ``out``.  Output nodes cannot forward and are left reading the source
     directly (collecting a result is host wiring, not array wiring).
 
-    The chain's direction is entirely determined by ``order_key`` — the
-    flip transformations of Fig. 13 are realised by passing a cyclic key
-    that places the broadcast source first.
+    The chain's direction is entirely determined by ``order_key``: a
+    cyclic key that places the broadcast source first gives the
+    one-directional chains of Fig. 13 (positions are left unchanged).
     """
 
     def default_key(g: DependenceGraph, nid: NodeId) -> tuple:
@@ -169,65 +164,4 @@ def pipeline_broadcasts(
         sp.tag("chained", chained)
         sp.tag("nodes_out", len(out))
         sp.tag("edges_out", out.g.number_of_edges())
-    return out
-
-
-def insert_delay(
-    dg: DependenceGraph,
-    consumer: NodeId,
-    role: str,
-    count: int = 1,
-    positions: list[tuple] | None = None,
-    tag: str = "delay",
-) -> DependenceGraph:
-    """Insert ``count`` delay nodes on one operand edge (Fig. 4b).
-
-    Used to equalise path lengths when a communication pattern varies
-    across the graph; the delays are placed "with the same communication
-    structure that dominates the graph" (Fig. 15c), which here means the
-    caller supplies their drawing positions.
-    """
-    if count < 1:
-        raise TransformError(f"delay count must be positive, got {count}")
-    with stage_span(
-        "transform.insert_delay", graph=dg.name, nodes_in=len(dg),
-        count=count,
-    ) as sp:
-        out = dg.copy(name=f"{dg.name}/delayed")
-        ref = out.operands(consumer).get(role)
-        if ref is None:
-            raise TransformError(f"node {consumer!r} has no operand {role!r}")
-        prev: PortRef = PortRef(*ref)
-        for idx in range(count):
-            pos = positions[idx] if positions else None
-            did = ("delay", consumer, role, idx)
-            out.add_delay(did, prev, pos=pos, tag=tag)
-            prev = PortRef(did, "out")
-        out.rewire(consumer, role, prev)
-        sp.tag("nodes_out", len(out))
-    return out
-
-
-def reindex_positions(
-    dg: DependenceGraph,
-    fn: Callable[[NodeId, tuple], tuple],
-) -> DependenceGraph:
-    """Re-embed the drawing: ``fn(nid, pos) -> new pos`` (the Fig. 13 flips).
-
-    Only positions change; wiring is untouched.  Combined with
-    :func:`pipeline_broadcasts` and a matching ``order_key`` this realises
-    the paper's flip: nodes on the wrong side of a broadcast source are
-    moved past its other end, making all chains uni-directional.
-    """
-    with stage_span(
-        "transform.reindex_positions", graph=dg.name, nodes_in=len(dg)
-    ) as sp:
-        out = dg.copy(name=f"{dg.name}/reindexed")
-        moved = 0
-        for nid in out.g.nodes:
-            p = out.pos(nid)
-            if p is not None:
-                out.set_pos(nid, fn(nid, p))
-                moved += 1
-        sp.tag("repositioned", moved)
     return out

@@ -48,6 +48,8 @@ def kronecker(
         raise DatasetError(
             "spec", f"edge_factor must be >= 0, got {edge_factor}", source=spec
         )
+    if seed < 0:
+        raise DatasetError("spec", f"seed must be >= 0, got {seed}", source=spec)
     probs = np.asarray(initiator, dtype=np.float64)
     if probs.shape != (4,) or (probs < 0).any():
         raise DatasetError(

@@ -9,7 +9,7 @@ from ..algorithms.transitive_closure import (
     TC_STAGES,
     expected_computed_ops,
     expected_full_ops,
-    is_computed,
+    is_superfluous,
     run_graph,
     tc_full,
     tc_pruned,
@@ -47,12 +47,8 @@ def transform_census(ns=(4, 6, 8, 10)) -> list[dict]:
     """F04: generic rewrites kill broadcasts, preserve the closure."""
     rows = []
     for n in ns:
-        def superfluous(dg, nid, n=n):
-            _, k, i, j = nid
-            return not is_computed(n, k, i, j)
-
         full = tc_full(n)
-        pruned = prune_superfluous(full, superfluous)
+        pruned = prune_superfluous(full, is_superfluous)
         piped = pipeline_broadcasts(pruned, fanout_threshold=1)
         a = random_adjacency(n, 0.35, seed=n)
         ok = np.array_equal(run_graph(piped, a), warshall(a))

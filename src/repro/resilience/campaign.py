@@ -30,7 +30,7 @@ import numpy as np
 
 from ..algorithms import transitive_closure as tc
 from ..arrays.plan import partitioned_plan
-from ..arrays.vector_compile import compiled_cache_info
+from ..arrays.vector_compile import clear_compiled_cache, compiled_cache_info
 from ..core.semiring import BOOLEAN, Semiring
 from ..obs import runlog
 from ..obs.metrics import get_registry
@@ -409,7 +409,13 @@ def _config_runs(
     regimes: "Sequence[str] | None" = None,
     regime_knobs: "Mapping[str, Any] | None" = None,
 ) -> list[CampaignRun]:
-    """All campaign cells of one configuration (one design build)."""
+    """All campaign cells of one configuration (one design build).
+
+    The compiled-plan cache starts empty, as in a fresh worker, so a
+    config's compiles and cache hits do not depend on the configs run
+    before it in the same process (``--jobs N`` ledger parity).
+    """
+    clear_compiled_cache()
     cache_before = compiled_cache_info()
     with stage_span("campaign.config", config=config.name):
         design = build_design(config)
@@ -709,16 +715,9 @@ def run_campaign(
         if jobs is not None and jobs > 1 and len(chosen) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            from ..arrays.vector_compile import clear_compiled_cache
-
             kinds_t = tuple(chosen_kinds)
             payload = runlog.worker_payload()
-            # Forked workers would inherit this process's compiled-plan
-            # cache; each starts empty, as a fresh CLI process does.
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(chosen)),
-                initializer=clear_compiled_cache,
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(chosen))) as pool:
                 futures = [
                     pool.submit(
                         _campaign_worker, seed, config, kinds_t, policy,

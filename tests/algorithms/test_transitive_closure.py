@@ -21,7 +21,6 @@ from repro.algorithms.transitive_closure import (
     tc_pipelined,
     tc_pruned,
     tc_regular,
-    tc_stage,
     tc_unidirectional,
 )
 from repro.algorithms.warshall import (
@@ -50,7 +49,7 @@ STAGES = sorted(TC_STAGES)
 def test_every_stage_computes_the_closure(stage: str, n: int, seed: int) -> None:
     """Semantic equivalence: the heart of the transformational method."""
     a = random_adjacency(n, 0.35, seed=seed)
-    dg = tc_stage(stage, n)
+    dg = TC_STAGES[stage](n)
     assert np.array_equal(run_graph(dg, a), warshall(a))
 
 
@@ -171,7 +170,7 @@ class TestSemiringGenerality:
                      rng.integers(1, 9, (n, n)).astype(float), np.inf)
         expected = floyd_warshall_reference(w)
         for stage in STAGES:
-            got = run_graph(tc_stage(stage, n), w, MIN_PLUS)
+            got = run_graph(TC_STAGES[stage](n), w, MIN_PLUS)
             assert np.array_equal(got, expected), stage
 
     def test_max_min_bottleneck_paths(self) -> None:
@@ -209,10 +208,6 @@ class TestIOHelpers:
         outs = evaluate(tc_pruned(n), make_inputs(a), BOOLEAN)
         m = read_output_matrix(outs, n)
         assert np.array_equal(m, warshall(a))
-
-    def test_stage_lookup_errors(self) -> None:
-        with pytest.raises(ValueError, match="unknown stage"):
-            tc_stage("bogus", 5)
 
     def test_n_too_small(self) -> None:
         with pytest.raises(ValueError, match="n >= 3"):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.graph import (
-    Axis,
     DependenceGraph,
     GraphError,
     NodeKind,
@@ -188,8 +187,6 @@ def test_copy_is_independent() -> None:
 def test_positions() -> None:
     dg = small_graph()
     assert dg.pos("m") == (1, 0)
-    dg.set_pos("m", (9, 9))
-    assert dg.pos("m") == (9, 9)
     assert dg.pos("one") is None
 
 
@@ -201,13 +198,6 @@ def test_node_view() -> None:
     assert view.comp_time == 1
     cview = dg.node("one")
     assert cview.value is True
-
-
-def test_axis_tags_recorded() -> None:
-    dg = DependenceGraph()
-    dg.add_input("x")
-    dg.add_pass("p", "x", axis=Axis.HORIZONTAL)
-    assert dg.g.edges["x", "p"]["axis"] is Axis.HORIZONTAL
 
 
 def test_kind_properties() -> None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.transitive_closure import (
     expected_computed_ops,
-    is_computed,
+    is_superfluous,
     run_graph,
     tc_full,
     tc_pruned,
@@ -19,24 +19,14 @@ from repro.core.analysis import find_broadcasts, max_fanout
 from repro.core.graph import DependenceGraph, NodeKind, node_counts
 from repro.core.transform import (
     TransformError,
-    insert_delay,
     pipeline_broadcasts,
     prune_superfluous,
-    reindex_positions,
 )
-
-
-def _superfluous_predicate(n: int):
-    def pred(dg: DependenceGraph, nid) -> bool:
-        _, k, i, j = nid
-        return not is_computed(n, k, i, j)
-
-    return pred
 
 
 def test_prune_matches_paper_count() -> None:
     n = 5
-    pruned = prune_superfluous(tc_full(n), _superfluous_predicate(n))
+    pruned = prune_superfluous(tc_full(n), is_superfluous)
     pruned.validate()
     assert node_counts(pruned)[NodeKind.OP] == expected_computed_ops(n)
 
@@ -45,14 +35,14 @@ def test_prune_matches_paper_count() -> None:
 @settings(max_examples=10, deadline=None)
 def test_prune_preserves_semantics(n: int, seed: int) -> None:
     a = random_adjacency(n, 0.35, seed=seed)
-    pruned = prune_superfluous(tc_full(n), _superfluous_predicate(n))
+    pruned = prune_superfluous(tc_full(n), is_superfluous)
     assert np.array_equal(run_graph(pruned, a), warshall(a))
 
 
 def test_prune_equals_direct_generator() -> None:
-    """Generic pruning and the Fig. 11 generator agree node-for-node."""
+    """The Fig. 11 stage is the generic pruning rewrite of Fig. 10."""
     n = 5
-    generic = prune_superfluous(tc_full(n), _superfluous_predicate(n))
+    generic = prune_superfluous(tc_full(n), is_superfluous)
     direct = tc_pruned(n)
     generic_ops = set(generic.nodes_of_kind(NodeKind.OP))
     direct_ops = set(direct.nodes_of_kind(NodeKind.OP))
@@ -135,39 +125,3 @@ def test_pipeline_chains_through_pass_nodes() -> None:
     assert piped.operands("p0") == {"a": ("src", "out")}
     for i in range(1, 4):
         assert piped.operands(f"p{i}") == {"a": (f"p{i-1}", "out")}
-
-
-def test_insert_delay_adds_timing_nodes() -> None:
-    dg = DependenceGraph()
-    dg.add_input("x", pos=(0, 0))
-    dg.add_pass("p", "x", pos=(0, 3))
-    dg.add_output("o", "p")
-    out = insert_delay(dg, "p", "a", count=2, positions=[(0, 1), (0, 2)])
-    out.validate()
-    assert node_counts(out)[NodeKind.DELAY] == 2
-    # Semantics unchanged, path length stretched by the two delays.
-    from repro.core.evaluate import evaluate
-
-    assert evaluate(out, {"x": 17})["o"] == 17
-    assert out.critical_path_length() == dg.critical_path_length() + 2
-
-
-def test_insert_delay_bad_args() -> None:
-    dg = DependenceGraph()
-    dg.add_input("x")
-    dg.add_pass("p", "x")
-    with pytest.raises(TransformError, match="positive"):
-        insert_delay(dg, "p", "a", count=0)
-    with pytest.raises(TransformError, match="no operand"):
-        insert_delay(dg, "p", "zz")
-
-
-def test_reindex_positions() -> None:
-    dg = DependenceGraph()
-    dg.add_input("x", pos=(2, 3))
-    dg.add_pass("p", "x", pos=(4, 5))
-    out = reindex_positions(dg, lambda nid, p: (p[1], p[0]))
-    assert out.pos("x") == (3, 2)
-    assert out.pos("p") == (5, 4)
-    # original untouched
-    assert dg.pos("x") == (2, 3)

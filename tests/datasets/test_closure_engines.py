@@ -9,7 +9,11 @@ from repro.baselines.ssc import SSC_BASELINES, ssc1, ssc2, ssc12
 from repro.core.bitmatrix import pack_rows, unpack_rows
 from repro.core.semiring import BOOLEAN, closure_reference
 from repro.datasets import DatasetError, compute_closure, from_edges, kronecker
-from repro.datasets.closure import CLOSURE_ENGINES, _closure_scc_packed
+from repro.datasets.closure import (
+    CLOSURE_ENGINES,
+    DENSE_CUTOFF,
+    _closure_scc_packed,
+)
 
 
 def reflexive_oracle(ds) -> np.ndarray:
@@ -108,3 +112,20 @@ class TestAtScale:
         rng = np.random.default_rng(0)
         srcs = np.sort(rng.choice(ds.n, size=48, replace=False))
         assert np.array_equal(res.words[srcs], ssc12(ds, srcs))
+
+    @pytest.mark.parametrize("n, kernel, cutoff, other", [
+        (DENSE_CUTOFF, "bitpack-dense", DENSE_CUTOFF - 1, "bitpack-scc"),
+        (DENSE_CUTOFF + 1, "bitpack-scc", DENSE_CUTOFF + 1, "bitpack-dense"),
+    ])
+    def test_default_kernel_around_dense_cutoff(
+        self, n: int, kernel: str, cutoff: int, other: str
+    ) -> None:
+        # The default picks the dense kernel up to DENSE_CUTOFF and the
+        # SCC kernel above it; forcing the other one gives the same rows.
+        rng = np.random.default_rng(n)
+        ds = from_edges(f"cutoff-{n}", rng.integers(0, n, size=(2 * n, 2)), n=n)
+        res = compute_closure(ds, "bitpack")
+        forced = compute_closure(ds, "bitpack", dense_cutoff=cutoff)
+        assert (res.kernel, forced.kernel) == (kernel, other)
+        assert np.array_equal(res.words, forced.words)
+        assert 1 < int(res.reach_counts.max()) < n  # neither empty nor all

@@ -16,6 +16,10 @@ from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.resilience import run_campaign
 
 CONFIGS = ["linear-n9-m3", "mesh-n8-m4"]
+#: Two configs whose permanent-fault cells compile the same
+#: ``tc_regular(n=12)/gset(0, 0)`` program: a sequential run must not
+#: reuse the first config's plan for the second.
+SHARED_PLAN = ["linear-packed-n12-m4", "linear-memaware-n12-m4"]
 
 
 @pytest.fixture()
@@ -27,7 +31,7 @@ def _quiet_registry():
 
 
 def _campaign_ledger(tmp_path, monkeypatch, name: str, jobs,
-                     backend=None, fresh_cache=True, **kw):
+                     backend=None, fresh_cache=True, configs=CONFIGS, **kw):
     d = tmp_path / name
     monkeypatch.setenv("REPRO_RUNLOG_DIR", str(d))
     # Each CLI run starts with an empty compiled-plan cache; by default
@@ -36,7 +40,7 @@ def _campaign_ledger(tmp_path, monkeypatch, name: str, jobs,
     if fresh_cache:
         clear_compiled_cache()
     result = run_campaign(
-        seed=0, configs=CONFIGS, jobs=jobs, record_metrics=False,
+        seed=0, configs=configs, jobs=jobs, record_metrics=False,
         backend=backend, **kw,
     )
     assert result.ok
@@ -67,17 +71,23 @@ def test_parallel_ledger_matches_sequential(
     )
 
 
-@pytest.mark.parametrize("regime", [None, ["correlated", "hammer"]])
+@pytest.mark.parametrize("configs, regime", [
+    pytest.param(CONFIGS, None, id="None"),
+    pytest.param(CONFIGS, ["correlated", "hammer"], id="regime1"),
+    pytest.param(SHARED_PLAN, None, id="shared-plan"),
+])
 def test_vector_campaign_ledger_parity(
-    tmp_path, monkeypatch, _quiet_registry, regime
+    tmp_path, monkeypatch, _quiet_registry, configs, regime
 ) -> None:
     """The vector backend keeps the parity, with every stage span --
     compile and replay included -- in the ledger."""
     seq_path, seq = _campaign_ledger(
-        tmp_path, monkeypatch, "vseq", None, "vector", regime=regime
+        tmp_path, monkeypatch, "vseq", None, "vector",
+        configs=configs, regime=regime,
     )
     par_path, par = _campaign_ledger(
-        tmp_path, monkeypatch, "vpar", 2, "vector", regime=regime
+        tmp_path, monkeypatch, "vpar", 2, "vector",
+        configs=configs, regime=regime,
     )
     assert seq_path.name == par_path.name
     assert runlog.verify_ledger(seq) == []

@@ -184,6 +184,33 @@ def test_bad_design_argument_exits_two(capsys, argv: str, bad: str) -> None:
     assert re.search(rf"\b{bad}\b", err.strip().splitlines()[-1])
 
 
+#: ``repro closure`` argv (``{file}`` is a regular file) -> the text its
+#: one-line error must name.
+BAD_CLOSURE_ARGS = [
+    ("--dataset kron:scale=4,edges=8,seed=-1", "-1"),
+    ("--dataset kron:scale=12 --check ssc1 --check-sources -4", "-4"),
+    ("--dataset kron:scale=12 --check ssc1 --check-sources 0", "0"),
+    ("--dataset kron:scale=4 --out {file}/x", "{file}/x"),
+]
+
+
+@pytest.mark.parametrize("argv, bad", BAD_CLOSURE_ARGS)
+def test_bad_closure_argument_exits_two(
+    capsys, tmp_path, argv: str, bad: str
+) -> None:
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    argv, bad = argv.format(file=regular), bad.format(file=regular)
+    try:
+        rc = main(["closure", *argv.split()])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert bad in err.strip().splitlines()[-1]
+
+
 def test_policy_names_are_the_schedulers() -> None:
     from repro.cli import POLICIES
     from repro.core.gsets import SCHEDULE_POLICIES
