@@ -11,7 +11,7 @@ setup(
     ),
     python_requires=">=3.10",
     install_requires=["numpy>=2.0", "networkx"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
     package_dir={"": "src"},
     packages=find_packages(where="src"),
 )

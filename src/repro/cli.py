@@ -6,7 +6,7 @@ Examples (docs/api_tour.md, "Command line", walks through the verbs)::
     python -m repro lint --experiments --format sarif --out lint.sarif
     python -m repro faults --seed 0 --experiments --jobs 2
     python -m repro trace --n 12 --m 4 --trace-out t.json
-    python -m repro bench F18 F19 --backend vector --jobs 2
+    python -m repro reproduce F18 F19 --backend vector --jobs 2
     python -m repro profile --experiment F18 --flame-out flame.svg
 """
 
@@ -42,6 +42,10 @@ def _int_at_least(low: int, what: str):
 
     parse.__name__ = "int"
     return parse
+
+
+#: ``--jobs``: worker processes, at least one.
+_JOBS = _int_at_least(1, "needs at least one worker")
 
 
 def _design_args(s, *, n=12, m=None, packed=False, seed=False, backend=None,
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace-out", metavar="FILE", default=None,
                    help="write a Chrome trace JSON of the recovery timelines "
                         "(one process lane per run; open in Perfetto)")
-    s.add_argument("--jobs", type=int, default=1, metavar="N",
+    s.add_argument("--jobs", type=_JOBS, default=1, metavar="N",
                    help="worker processes, one campaign configuration each "
                         "(results and metrics identical to --jobs 1)")
     s.add_argument("--backend", choices=("reference", "vector"), default=None,
@@ -199,10 +203,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "reproduce",
-        help="regenerate an experiment table (see DESIGN.md's index)",
+        help="build and check experiment tables (see DESIGN.md's index); "
+             "exit 1 when a table breaks a claim its experiment checks",
     )
     s.add_argument("exp", nargs="*",
                    help="experiment ids (e.g. F18 T-EVAL); default: list them")
+    s.add_argument("--jobs", type=_JOBS, default=1, metavar="N",
+                   help="worker processes, one experiment each; output "
+                        "is identical to --jobs 1")
+    s.add_argument("--backend", choices=("reference", "vector"), default=None,
+                   help="simulator backend for the runs (rows are "
+                        "bit-identical across backends)")
+    s.add_argument("--record", action="store_true",
+                   help="write benchmarks/out/<id>.{txt,json}, append "
+                        "benchmarks/out/history.jsonl and refresh "
+                        "BENCH_PERF.json, under the working directory")
 
     s = sub.add_parser(
         "trace",
@@ -217,22 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "bench",
-        help="build experiment tables through the parallel runner "
-             "(optionally on the vector simulator backend)",
+        help="benchmark the closure engines head-to-head on a dataset",
     )
-    s.add_argument("exp", nargs="*",
-                   help="experiment ids (e.g. F18 F19); default: all")
-    s.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes, one experiment each; results "
-                        "come back in id order regardless of completion")
-    s.add_argument("--backend", choices=("reference", "vector"), default=None,
-                   help="simulator backend for the runs (rows are "
-                        "bit-identical across backends)")
-    s.add_argument("--dataset", metavar="SPEC", default=None,
+    s.add_argument("--dataset", metavar="SPEC", required=True,
                    help="benchmark the closure engines (and, on small "
                         "graphs, the partitioned-array simulator) on a "
-                        "loaded dataset instead of experiment tables; "
-                        "SPEC is an edge-list path or "
+                        "loaded dataset; SPEC is an edge-list path or "
                         "kron:scale=S[,edges=E][,seed=K]")
     s.add_argument("--remap", action="store_true",
                    help="with --dataset FILE: compact arbitrary external "
@@ -796,20 +801,15 @@ def _cmd_faults(args) -> int:
     return 0 if result.ok else 1
 
 
-def _print_tables(results) -> None:
-    """Print ``(experiment id, rows)`` pairs as titled tables."""
-    from .experiments import EXPERIMENTS
-    from .viz import format_table
-
-    for eid, rows in results:
-        exp = EXPERIMENTS[eid]
-        print(f"== {exp.exp_id}: {exp.title} ==")
-        print(format_table(rows))
-        print()
-
-
 def _cmd_reproduce(args) -> int:
+    from pathlib import Path
+
     from .experiments import EXPERIMENTS
+    from .experiments.runner import (
+        ExperimentCheckFailed,
+        record,
+        run_experiments,
+    )
 
     if not args.exp:
         print("available experiments:")
@@ -820,8 +820,30 @@ def _cmd_reproduce(args) -> int:
     if unknown:
         print(f"unknown experiment id(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    _print_tables((eid, EXPERIMENTS[eid].run()) for eid in args.exp)
-    return 0
+    root = Path.cwd()
+    if args.record and not (root / "benchmarks").is_dir():
+        print(f"reproduce: --record writes under {root / 'benchmarks'}, "
+              "which does not exist", file=sys.stderr)
+        return 2
+    try:
+        results = run_experiments(args.exp, jobs=args.jobs, backend=args.backend)
+    except ExperimentCheckFailed as exc:  # a builder's own guard
+        print(f"reproduce: check failed: {exc}", file=sys.stderr)
+        return 1
+    passed = []
+    for eid, rows in results:
+        exp = EXPERIMENTS[eid]
+        text = f"== {eid}: {exp.title} ==\n{exp.render(rows)}\n"
+        print(text)
+        try:
+            exp.check(rows)
+        except ExperimentCheckFailed as exc:
+            print(f"reproduce: check failed: {eid}: {exc}", file=sys.stderr)
+            continue
+        passed.append((eid, rows, text))
+    if args.record:
+        record(passed, root)
+    return 0 if len(passed) == len(results) else 1
 
 
 def _sample_sources(n: int, k: int) -> "np.ndarray":
@@ -920,7 +942,7 @@ def _cmd_closure(args) -> int:
     return 0 if agree in (None, True) else 1
 
 
-def _bench_dataset(args) -> int:
+def _cmd_bench(args) -> int:
     """``repro bench --dataset``: closure engines head-to-head.
 
     Every engine runs on the same loaded graph; the bit-packed engine
@@ -999,24 +1021,6 @@ def _bench_dataset(args) -> int:
     print(f"== DS-{ds.name}: closure engines on n={ds.n}, m={ds.m} ==")
     print(format_table(rows))
     return 0 if all(r["agree"] for r in rows) else 1
-
-
-def _cmd_bench(args) -> int:
-    from .experiments import EXPERIMENTS
-    from .experiments.runner import run_experiments
-
-    if args.dataset:
-        return _bench_dataset(args)
-    exp_ids = list(args.exp) if args.exp else list(EXPERIMENTS)
-    try:
-        results = run_experiments(
-            exp_ids, jobs=args.jobs, backend=args.backend
-        )
-    except KeyError as exc:
-        print(f"bench: {exc.args[0]}", file=sys.stderr)
-        return 2
-    _print_tables(results)
-    return 0
 
 
 def _cmd_trace(args) -> int:
@@ -1204,7 +1208,7 @@ def _cmd_profile(args) -> int:
                 with stage_span(
                     f"experiment.{args.experiment}", backend=backend
                 ):
-                    EXPERIMENTS[args.experiment].run()
+                    EXPERIMENTS[args.experiment].build()
                 wall = perf_counter() - t0
         finally:
             set_default_backend(previous)
@@ -1418,8 +1422,8 @@ _COMMANDS = {
 #: ``jobs`` is excluded from the run identity so ``--jobs N`` shares the
 #: sequential run's ledger.
 _LEDGER_VERBS = frozenset(
-    {"partition", "trace", "faults", "bench", "perfcheck", "profile",
-     "lint", "closure"}
+    {"partition", "trace", "faults", "reproduce", "bench", "perfcheck",
+     "profile", "lint", "closure"}
 )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..algorithms.transitive_closure import make_inputs, tc_regular
@@ -9,6 +11,7 @@ from ..algorithms.warshall import (
     floyd_warshall_reference,
     random_adjacency,
     warshall,
+    warshall_vectorized,
 )
 from ..core.ggraph import GGraph, group_by_blocks, group_by_columns
 from ..core.gsets import (
@@ -25,15 +28,26 @@ from ..arrays.cost import fixed_array_cost, partitioned_array_cost
 from ..arrays.cycle_sim import simulate
 from ..arrays.pipeline import run_chained_instances
 from ..arrays.plan import fixed_array_plan, min_initiation_interval, partitioned_plan
+from .runner import require
 
 __all__ = [
     "policy_ablation",
+    "check_policies",
     "grouping_ablation",
+    "check_granularity",
     "alignment_ablation",
+    "check_alignment",
     "chained_census",
+    "check_chained",
+    "chained_measures",
     "semiring_sweep",
+    "check_semirings",
     "cost_census",
+    "check_costs",
     "hybrid_census",
+    "check_hybrid",
+    "compare_references",
+    "check_references",
 ]
 
 
@@ -67,6 +81,27 @@ def policy_ablation(n: int = 16, m: int = 4) -> list[dict]:
     return rows
 
 
+def check_policies(rows: list[dict], m: int = 4) -> None:
+    """A-POL: equal makespans (within m), legal stall-free orders;
+    vertical wins host bandwidth by > 2x over horizontal but pays > 2x
+    the wavefront memory high-water; memory-aware stays near it."""
+    by = {r["policy"]: r for r in rows}
+    bw = "req_hostBW(preload=nm)"
+    require(max(r["makespan"] for r in rows) - min(r["makespan"] for r in rows) <= m,
+            "makespans within m of each other")
+    require(all(r["violations"] == 0 and r["stalls"] == 0 for r in rows),
+            "violations == 0 and stalls == 0")
+    require(by["vertical"][bw] <= by["wavefront"][bw] <= by["horizontal"][bw],
+            "host bandwidth: vertical <= wavefront <= horizontal")
+    require(by["horizontal"][bw] > 2 * by["vertical"][bw],
+            "horizontal host bandwidth > 2x vertical")
+    require(by["vertical"]["mem_highwater"] > 2 * by["wavefront"]["mem_highwater"],
+            "vertical mem_highwater > 2x wavefront")
+    require(by["memory-aware"]["mem_highwater"]
+            <= 1.2 * by["wavefront"]["mem_highwater"],
+            "memory-aware mem_highwater <= 1.2x wavefront")
+
+
 def grouping_ablation(n: int = 12, m: int = 4) -> list[dict]:
     """A-GRP: granularity trade (Fig. 9), fine -> coarse ordering."""
     dg = tc_regular(n)
@@ -90,6 +125,20 @@ def grouping_ablation(n: int = 12, m: int = 4) -> list[dict]:
             }
         )
     return rows
+
+
+def check_granularity(rows: list[dict]) -> None:
+    """A-GRP: coarser G-nodes cut G-node count and memory traffic; the
+    paper's column grouping has the least total time."""
+    gnodes = [r["gnodes"] for r in rows]
+    mems = [r["mem_words"] for r in rows]
+    require(gnodes == sorted(gnodes, reverse=True), "gnodes fall fine -> coarse")
+    require(mems == sorted(mems, reverse=True), "mem_words fall fine -> coarse")
+    require(rows[-1]["gnodes/cell"] < rows[0]["gnodes/cell"],
+            "coarsest gnodes/cell < finest")
+    columns = next(r for r in rows if "paper" in r["grouping"])
+    require(columns["total_time"] == min(r["total_time"] for r in rows),
+            "the column grouping has the least total_time")
 
 
 def alignment_ablation(configs=((11, 4), (15, 4), (19, 4))) -> list[dict]:
@@ -120,6 +169,25 @@ def alignment_ablation(configs=((11, 4), (15, 4), (19, 4))) -> list[dict]:
     return rows
 
 
+def check_alignment(rows: list[dict]) -> None:
+    """A-ALN: packed blocks hit n^2(n+1)/m and win time; aligned blocks
+    win host bandwidth; the utilization gap closes with growing n."""
+    pairs: dict[tuple[int, int], dict[str, dict]] = {}
+    for r in rows:
+        pairs.setdefault((r["n"], r["m"]), {})[r["blocks"]] = r
+    for (n, m), pair in pairs.items():
+        aligned, packed = pair["aligned"], pair["packed"]
+        require(packed["total_time"] == n * n * (n + 1) // m,
+                "packed total_time == n^2(n+1)/m")
+        require(packed["total_time"] <= aligned["total_time"],
+                "packed total_time <= aligned")
+        require(aligned["req_hostBW"] < packed["req_hostBW"],
+                "aligned req_hostBW < packed")
+    gaps = [pairs[key]["aligned"]["U"] / pairs[key]["packed"]["U"]
+            for key in sorted(pairs)]
+    require(gaps == sorted(gaps), "aligned/packed U rises with n")
+
+
 def chained_census(n: int = 8, ks=(1, 2, 4, 6)) -> list[dict]:
     """A-CHAIN: k overlapped instances on the fixed array."""
     dg = tc_regular(n)
@@ -148,6 +216,25 @@ def chained_census(n: int = 8, ks=(1, 2, 4, 6)) -> list[dict]:
             }
         )
     return rows
+
+
+def check_chained(rows: list[dict]) -> None:
+    """A-CHAIN: every instance correct, no double-booking, makespan slope
+    exactly n; occupancy rises with the instance count."""
+    for r in rows:
+        require(r["all_correct"] and r["violations"] == 0,
+                "all_correct and violations == 0")
+        require(r["makespan"] == r["expected"], "makespan == expected (slope n)")
+    occs = [r["occupancy"] for r in rows]
+    require(occs == sorted(occs), "occupancy rises with instances")
+
+
+def chained_measures(rows: list[dict]) -> dict[str, float]:
+    """A-CHAIN's gated measures, at the most instances."""
+    return {
+        "chained_makespan_cycles": rows[-1]["makespan"],
+        "initiation_interval_cycles": rows[-1]["delta"],
+    }
 
 
 def semiring_sweep(n: int = 10, m: int = 4) -> list[dict]:
@@ -198,6 +285,15 @@ def semiring_sweep(n: int = 10, m: int = 4) -> list[dict]:
     return rows
 
 
+def check_semirings(rows: list[dict]) -> None:
+    """A-EXT: three semirings correct on one array; counting rejected."""
+    for r in rows[:3]:
+        require(r["correct"] is True, f"{r['problem']} correct")
+        require(r["pruning_sound"], f"{r['problem']} pruning_sound")
+        require(r["violations"] == 0, f"{r['problem']} violations == 0")
+    require(rows[3]["pruning_sound"] is False, "counting is not pruning_sound")
+
+
 def cost_census(n: int = 16, m: int = 4) -> list[dict]:
     """A-COST: structural resource counts per array design."""
     gg = GGraph(tc_regular(n), group_by_columns)
@@ -209,6 +305,20 @@ def cost_census(n: int = 16, m: int = 4) -> list[dict]:
         fixed_array_cost(n, n + 1),
     ]
     return [c.row() for c in designs]
+
+
+def check_costs(rows: list[dict], n: int = 16, m: int = 4) -> None:
+    """A-COST: the fixed array needs n(n+1)/m times the cells; linear
+    wiring is the sparsest; memory ports m+1 vs 2 sqrt(m) vs none."""
+    lin, mesh, fixed = rows
+    require(fixed["cells"] == n * (n + 1), "fixed cells == n(n+1)")
+    require(fixed["cells"] / lin["cells"] == n * (n + 1) / m,
+            "fixed / linear cells == n(n+1)/m")
+    require(lin["links"] < mesh["links"] < fixed["links"],
+            "links: linear < mesh < fixed")
+    require(fixed["mem_ports"] == 0, "fixed mem_ports == 0")
+    require(lin["mem_ports"] == m + 1 and mesh["mem_ports"] == 2 * int(m**0.5),
+            "mem_ports: linear m+1, mesh 2 sqrt(m)")
 
 
 def hybrid_census(n: int = 16, m: int = 4, piles_list=(1, 2, 4, 8)) -> list[dict]:
@@ -258,3 +368,51 @@ def hybrid_census(n: int = 16, m: int = 4, piles_list=(1, 2, 4, 8)) -> list[dict
         }
     )
     return rows
+
+
+def check_hybrid(rows: list[dict]) -> None:
+    """A-HYB: per-cell storage falls with the pile count down to pure
+    LPGS while external traffic climbs from zero."""
+    storages = [r["local_storage"] for r in rows]
+    externals = [r["external_words"] for r in rows]
+    require(storages == sorted(storages, reverse=True), "local_storage falls")
+    require(storages[0] > 2 * storages[-2] > 0,
+            "hybrid cuts LSGP storage by > 2x, not to 0")
+    require(storages[-1] == 0, "pure LPGS local_storage == 0")
+    require(externals == sorted(externals), "external_words rise")
+    require(externals[0] == 0, "pure LSGP external_words == 0")
+
+
+def compare_references(ns=(32, 64, 128)) -> list[dict]:
+    """A-PERF: the scalar Warshall loop vs its rank-1-update vectorization.
+
+    The software oracles check every array run, so their speed bounds
+    the sizes the reproduction can sweep; ``warshall_vectorized``
+    replaces the O(n^3) Python iterations with n numpy outer products.
+    """
+    rows = []
+    for n in ns:
+        a = random_adjacency(n, 0.3, seed=0)
+        t0 = time.perf_counter()
+        plain = warshall(a)
+        t_plain = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        vec = warshall_vectorized(a)
+        t_vec = time.perf_counter() - t0
+        require(np.array_equal(plain, vec), f"warshall == warshall_vectorized at n={n}")
+        rows.append(
+            {
+                "n": n,
+                "scalar_ms": round(t_plain * 1e3, 2),
+                "vectorized_ms": round(t_vec * 1e3, 3),
+                "speedup": round(t_plain / max(t_vec, 1e-9), 1),
+            }
+        )
+    return rows
+
+
+def check_references(rows: list[dict]) -> None:
+    """A-PERF: the vectorized oracle wins by a wide, growing margin."""
+    speedups = [r["speedup"] for r in rows]
+    require(speedups[-1] > 10, "speedup > 10 at the largest n")
+    require(speedups == sorted(speedups), "speedup grows with n")

@@ -1,9 +1,9 @@
 """Experiments F17-F21: the derived arrays, measured by simulation.
 
 Simulations go through :func:`repro.arrays.vector_sim.dispatch_simulate`,
-so the process-wide backend default applies — ``repro bench --backend
-vector`` (or ``REPRO_SIM_BACKEND=vector``) runs these sweeps on the
-compiled batched backend with bit-identical rows.
+so the process-wide backend default applies — ``repro reproduce
+--backend vector`` (or ``REPRO_SIM_BACKEND=vector``) runs these sweeps
+on the compiled batched backend with bit-identical rows.
 """
 
 from __future__ import annotations
@@ -38,16 +38,27 @@ from ..arrays.plan import (
     partitioned_plan,
 )
 from ..arrays.vector_sim import dispatch_simulate as simulate
+from ..viz import format_table, render_schedule
+from .runner import require
 
 __all__ = [
     "F18_CONFIGS",
     "F19_CONFIGS",
     "fixed_array_census",
+    "check_fixed_arrays",
     "linear_sweep",
+    "check_linear",
+    "linear_measures",
     "mesh_sweep",
+    "check_mesh",
     "schedule_census",
+    "check_schedules",
+    "render_schedules",
     "io_census",
+    "check_io",
+    "io_measures",
     "backend_timing",
+    "check_warm_speedup",
 ]
 
 #: The shipped ``(n, m)`` sweep points of F18 (linear) and F19 (mesh);
@@ -97,6 +108,18 @@ def fixed_array_census(ns=(5, 8, 11)) -> list[dict]:
     return rows
 
 
+def check_fixed_arrays(rows: list[dict]) -> None:
+    """F17: ours at throughput 1/n with no parking; Kung's at half speed;
+    the linear collapse at 1/(n(n+1)); all three correct."""
+    for r in rows:
+        require(r["ours_ok"] and r["kung_ok"] and r["linear_ok"],
+                "every fixed array computes the closure")
+        require(r["ours_II"] == r["n"], "ours_II == n")
+        require(r["kung_II"] == 2 * r["n"], "kung_II == 2n")
+        require(r["ours_mem_words"] == 0, "ours_mem_words == 0")
+        require(r["linear_II"] == r["n(n+1)"], "linear_II == n(n+1)")
+
+
 def linear_sweep(configs=F18_CONFIGS) -> list[dict]:
     """F18: the linear partitioned array, cycle-measured vs Sec. 4.2."""
     rows = []
@@ -124,6 +147,27 @@ def linear_sweep(configs=F18_CONFIGS) -> list[dict]:
             }
         )
     return rows
+
+
+def check_linear(rows: list[dict]) -> None:
+    """F18: exact Sec. 4.2 T and U when m | n+1; zero stalls; m+1 ports."""
+    for r in rows:
+        require(r["closure_ok"] and r["violations"] == 0,
+                "closure_ok and violations == 0")
+        require(r["stalls"] == 0, "stalls == 0")
+        require(r["mem_ports"] == r["m"] + 1, "mem_ports == m + 1")
+        if (r["n"] + 1) % r["m"] == 0:  # paper's divisibility assumption
+            require(r["T_measured"] == r["T_paper"], "T_measured == T_paper when m | n+1")
+            require(abs(r["U_measured"] - r["U_paper"]) < 1e-12,
+                    "U_measured == U_paper when m | n+1")
+
+
+def linear_measures(rows: list[dict]) -> dict[str, float]:
+    """F18's gated measures."""
+    return {
+        "stall_cycles_total": sum(r["stalls"] for r in rows),
+        "violations_total": sum(r["violations"] for r in rows),
+    }
 
 
 def mesh_sweep(configs=F19_CONFIGS) -> list[dict]:
@@ -156,6 +200,17 @@ def mesh_sweep(configs=F19_CONFIGS) -> list[dict]:
     return rows
 
 
+def check_mesh(rows: list[dict]) -> None:
+    """F19: 2 sqrt(m) memory ports, zero stalls, correct closures, and the
+    linear throughput class up to Fig. 19a's boundary sets."""
+    for r in rows:
+        require(r["closure_ok"], "closure_ok")
+        require(r["stalls"] == 0, "stalls == 0")
+        require(r["mem_ports"] == 2 * int(r["m"] ** 0.5), "mem_ports == 2 sqrt(m)")
+        require(0.6 < r["T_ratio"] <= 1.0, "0.6 < T_ratio <= 1")
+        require(r["boundary_sets"] > 0, "boundary_sets > 0")
+
+
 def schedule_census(n: int = 12, m: int = 4) -> list[dict]:
     """F20: every policy is legal, pipelined and stall-free."""
     dg = tc_regular(n)
@@ -178,6 +233,28 @@ def schedule_census(n: int = 12, m: int = 4) -> list[dict]:
             }
         )
     return rows
+
+
+def check_schedules(rows: list[dict], n: int = 12) -> None:
+    """F20: every policy legal and stall-free; ASAP times rise along
+    G-rows and G-columns as Fig. 20 draws them."""
+    for r in rows:
+        require(r["violations"] == 0 and r["stalls"] == 0,
+                "violations == 0 and stalls == 0")
+    asap = GGraph(tc_regular(n), group_by_columns).asap_times()
+    for (k, c), t in asap.items():
+        if (k, c + 1) in asap:
+            require(asap[(k, c + 1)] > t, "ASAP rises along a G-row")
+        if (k + 1, c - 1) in asap:
+            require(asap[(k + 1, c - 1)] > t, "ASAP rises along a G-column")
+
+
+def render_schedules(rows: list[dict], n: int = 12, m: int = 4) -> str:
+    """F20's table plus the first 24 G-sets of the vertical-path order."""
+    plan = make_linear_gsets(GGraph(tc_regular(n), group_by_columns), m)
+    vertical = schedule_gsets(plan, "vertical")
+    return (format_table(rows) + "\n\nvertical-path order:\n"
+            + render_schedule(vertical[:24]))
 
 
 def backend_timing(
@@ -260,6 +337,14 @@ def backend_timing(
     return rows
 
 
+def check_warm_speedup(rows: list[dict]) -> None:
+    """F18-VEC / F19-VEC: a cached vector replay is bit-identical to the
+    reference interpreter and at least 5x faster."""
+    for r in rows:
+        require(r["identical"], "vector replay identical to the reference")
+        require(r["warm_speedup"] >= 5.0, "warm_speedup >= 5")
+
+
 def io_census(configs=((12, 3), (12, 4), (16, 4), (20, 4))) -> list[dict]:
     """F21: host bandwidth and R-block chain feasibility at m/n."""
     rows = []
@@ -286,3 +371,22 @@ def io_census(configs=((12, 3), (12, 4), (16, 4), (20, 4))) -> list[dict]:
             }
         )
     return rows
+
+
+def check_io(rows: list[dict]) -> None:
+    """F21: a host at m/n words/cycle feeds the R-block chain; demand is
+    at most m/n and more than half of it."""
+    for r in rows:
+        require(r["chain@m/n_ok"], "the chain meets every deadline at m/n")
+        require(r["avg_D_IO"] <= r["paper_m/n"], "avg_D_IO <= m/n")
+        require(r["avg_D_IO"] > 0.5 * r["paper_m/n"], "avg_D_IO > m/(2n)")
+        require(r["words"] == r["n"] ** 2, "words == n^2")
+
+
+def io_measures(rows: list[dict]) -> dict[str, float]:
+    """F21's gated measures."""
+    return {
+        "input_words_total": sum(r["words"] for r in rows),
+        "max_avg_d_io": max(r["avg_D_IO"] for r in rows),
+        "max_r_memory_words": max(r["max_R_memory"] for r in rows),
+    }

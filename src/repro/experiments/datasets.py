@@ -8,9 +8,9 @@ these tables measure the host-level closure engines of
 seeded Kronecker graphs via the unpacked Warshall oracle
 (:func:`repro.core.semiring.closure_reference` over ``BOOLEAN``) versus
 the bit-packed kernel (:func:`repro.core.bitmatrix.closure_words`), with
-bit-for-bit agreement checked per row.  The CI ``backend`` job gates on
-``speedup >= 5`` for every ``n >= 1024`` row (see
-``benchmarks/bench_f20_bitpack.py``).
+bit-for-bit agreement checked per row.  Its check gates on
+``speedup >= 5`` for every ``n >= 1024`` row (the CI ``backend`` job
+runs ``repro reproduce F20-BIT``).
 """
 
 from __future__ import annotations
@@ -23,11 +23,18 @@ import numpy as np
 from ..core.bitmatrix import closure_words, pack_rows
 from ..core.semiring import BOOLEAN, closure_reference
 from ..datasets import compute_closure, kronecker
+from .runner import require
 
-__all__ = ["bitpack_speedup", "engine_agreement"]
+__all__ = [
+    "bitpack_speedup", "check_bitpack", "engine_agreement", "check_agreement",
+]
 
 #: Kronecker scales for the default F20-BIT sweep: n = 256, 1024, 2048.
 DEFAULT_SCALES: tuple[int, ...] = (8, 10, 11)
+
+#: F20-BIT's gate: minimum packed-over-unpacked speedup at n >= GATE_N.
+GATE_N = 1024
+GATE_SPEEDUP = 5.0
 
 
 def _best_of(fn, repeats: int) -> tuple[float, object]:
@@ -76,6 +83,16 @@ def bitpack_speedup(
     return rows
 
 
+def check_bitpack(rows: list[dict]) -> None:
+    """F20-BIT: packed rows agree with Warshall; >= 5x at n >= 1024."""
+    require(all(r["agree"] for r in rows), "packed closure agrees with Warshall")
+    gated = [r for r in rows if r["n"] >= GATE_N]
+    require(gated, f"the sweep includes a size n >= {GATE_N}")
+    for r in gated:
+        require(r["speedup"] >= GATE_SPEEDUP,
+                f"speedup >= {GATE_SPEEDUP:g} at n >= {GATE_N}")
+
+
 def engine_agreement(
     scale: int = 7, edge_factor: int = 8, seeds: Sequence[int] = (0, 1)
 ) -> list[dict]:
@@ -105,3 +122,10 @@ def engine_agreement(
                 }
             )
     return rows
+
+
+def check_agreement(rows: list[dict]) -> None:
+    """DS-AGREE: bitpack, SSC1, SSC2 and SSC12 all agree with the oracle."""
+    require(all(r["agree"] for r in rows), "every engine agrees with the reference")
+    require({r["engine"] for r in rows} == {"bitpack", "ssc1", "ssc2", "ssc12"},
+            "engines == {bitpack, ssc1, ssc2, ssc12}")

@@ -33,13 +33,19 @@ from ..core.ggraph import (
 from ..core.graph import NodeKind, node_counts
 from ..core.gsets import make_linear_gsets, schedule_gsets, verify_schedule
 from ..core.transform import pipeline_broadcasts, prune_superfluous
+from .runner import require
 
 __all__ = [
     "transform_census",
+    "check_transforms",
     "grouping_census",
+    "check_groupings",
     "gset_census",
+    "check_gsets",
     "count_census",
+    "check_counts",
     "stage_census",
+    "check_stages",
 ]
 
 
@@ -63,6 +69,13 @@ def transform_census(ns=(4, 6, 8, 10)) -> list[dict]:
         )
     return rows
 
+
+def check_transforms(rows: list[dict]) -> None:
+    """F04: pipelining drops the O(n) fan-out to 1, same closure."""
+    for r in rows:
+        require(r["semantics_preserved"], "semantics_preserved")
+        require(r["fanout_pipelined"] == 1, "fanout_pipelined == 1")
+        require(r["fanout_before"] >= 2 * r["n"] - 3, "fanout_before >= 2n - 3")
 
 def grouping_census(n: int = 12) -> list[dict]:
     """F05: the Fig. 6 grouping alternatives and their G-graph quality."""
@@ -103,6 +116,20 @@ def grouping_census(n: int = 12) -> list[dict]:
     return rows
 
 
+def check_groupings(rows: list[dict]) -> None:
+    """F05: columns win (uniform, nearest-neighbour, 2 edge directions);
+    rows leave long edges; cyclic anti-diagonals are rejected."""
+    by_name = {r["grouping"]: r for r in rows}
+    winner = by_name["diagonal-paths (cols)"]
+    require(winner["uniform_time"] and winner["nearest_neighbour"],
+            "column grouping is uniform and nearest-neighbour")
+    require(winner["distinct_edge_dirs"] == 2,
+            "column grouping has 2 edge directions (right, down-left)")
+    require(not by_name["horizontal-paths (rows)"]["nearest_neighbour"],
+            "row grouping is not nearest-neighbour")
+    require(by_name["cyclic anti-diagonals"]["max_time"].startswith("REJECTED"),
+            "cyclic anti-diagonals are rejected")
+
 def gset_census(n: int = 12, m: int = 4) -> list[dict]:
     """F07: G-sets are internally uniform even on non-uniform G-graphs."""
     rows = []
@@ -128,6 +155,14 @@ def gset_census(n: int = 12, m: int = 4) -> list[dict]:
     return rows
 
 
+def check_gsets(rows: list[dict]) -> None:
+    """F07: many G-nodes per cell (Fig. 9); every G-set uniform (Fig. 8),
+    even on LU's non-uniform G-graph."""
+    for r in rows:
+        require(r["gnodes"] > 5 * r["cells"], "gnodes > 5 cells")
+        require(r["uniform_gsets"] == r["gsets"], "uniform_gsets == gsets")
+    require(not rows[1]["globally_uniform"], "LU is not globally uniform")
+
 def count_census(ns=(4, 6, 8, 10, 12)) -> list[dict]:
     """F10/F11: n^3 op nodes; n(n-1)(n-2) after pruning."""
     rows = []
@@ -148,6 +183,15 @@ def count_census(ns=(4, 6, 8, 10, 12)) -> list[dict]:
         )
     return rows
 
+
+def check_counts(rows: list[dict]) -> None:
+    """F10/F11: n^3 ops, n(n-1)(n-2) after pruning, O(n) fan-out."""
+    for r in rows:
+        require(r["full_ops"] == r["n^3"], "full_ops == n^3")
+        require(r["pruned_ops"] == r["n(n-1)(n-2)"], "pruned_ops == n(n-1)(n-2)")
+        require(r["superfluous"] == 3 * r["n"] ** 2 - 2 * r["n"],
+                "superfluous == 3n^2 - 2n")
+        require(r["max_fanout"] >= r["n"], "max_fanout >= n")
 
 def stage_census(n: int = 12) -> list[dict]:
     """F12-F16: per-stage property census of the whole pipeline."""
@@ -171,3 +215,20 @@ def stage_census(n: int = 12) -> list[dict]:
             }
         )
     return rows
+
+
+def check_stages(rows: list[dict], n: int = 12) -> None:
+    """F12-F16: pipelining cuts the fan-out, the flips make flow
+    uni-directional, the delays cut the stencils, and the column grouping
+    of the regular stage is nearest-neighbour; every stage is correct."""
+    by = {r["stage"]: r for r in rows}
+    require(all(r["closure_ok"] for r in rows), "every stage computes the closure")
+    require(by["full"]["max_fanout"] >= n, "full max_fanout >= n")
+    require(by["pipelined"]["max_fanout"] <= 5, "pipelined max_fanout <= 5")
+    require(not by["pipelined"]["unidirectional"], "pipelined is bi-directional")
+    require(by["unidirectional"]["unidirectional"], "unidirectional is uni-directional")
+    require(by["regular"]["unidirectional"], "regular is uni-directional")
+    require(by["regular"]["stencils"] < by["unidirectional"]["stencils"],
+            "regular has fewer stencils than unidirectional")
+    require(GGraph(tc_regular(n), group_by_columns).is_nearest_neighbour(),
+            "the column G-graph of the regular stage is nearest-neighbour")

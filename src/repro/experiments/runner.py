@@ -1,13 +1,18 @@
-"""Parallel experiment runner: fan experiment tables out over processes.
+"""The one experiment runner: build, check and record reproduction tables.
 
-``repro bench`` (and anything else that wants many reproduction tables)
-goes through :func:`run_experiments`.  With ``jobs > 1`` each experiment
-runs in its own worker process under a *fresh* metrics registry and the
-chosen simulator backend; the parent then merges every worker's registry
-snapshot into its own (:meth:`MetricsRegistry.merge_json`), so the final
-metrics are identical to a sequential run.  Results always come back in
-the order the experiment ids were given, regardless of which worker
-finished first — parallelism never changes the artefact.
+``repro reproduce`` goes through :func:`run_experiments`.  With
+``jobs > 1`` each experiment runs in its own worker process under a
+*fresh* metrics registry and the chosen simulator backend; the parent
+then merges every worker's registry snapshot into its own
+(:meth:`MetricsRegistry.merge_json`), so the final metrics are identical
+to a sequential run.  Results always come back in the order the
+experiment ids were given, regardless of which worker finished first —
+parallelism never changes the artefact.
+
+The verb then runs each experiment's ``check`` in this process, in id
+order; a claim that does not hold raises :class:`ExperimentCheckFailed`
+(built with :func:`require`, which ``python -O`` keeps, unlike
+``assert``).  :func:`record` persists the tables that passed.
 
 The worker is a module-level function (picklable for the ``spawn`` start
 method) and re-resolves the registry and backend inside the child, so no
@@ -16,14 +21,29 @@ process inherits mutable state from the parent.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Sequence
+from pathlib import Path
+from typing import Any, Mapping, Sequence
 
-from ..obs import runlog
+from ..obs import perf, runlog
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.tracing import stage_span
 
-__all__ = ["run_experiments"]
+__all__ = [
+    "ExperimentCheckFailed", "require", "run_experiments", "infer_dim",
+    "record",
+]
+
+
+class ExperimentCheckFailed(Exception):
+    """A built table breaks one of the claims its experiment checks."""
+
+
+def require(cond: object, what: str) -> None:
+    """Raise :class:`ExperimentCheckFailed` naming ``what`` unless ``cond``."""
+    if not cond:
+        raise ExperimentCheckFailed(what)
 
 
 def _run_one(exp_id: str) -> list[dict]:
@@ -31,47 +51,43 @@ def _run_one(exp_id: str) -> list[dict]:
     from . import EXPERIMENTS
 
     with stage_span("experiment.run", exp=exp_id):
-        return EXPERIMENTS[exp_id].run()
+        try:
+            return EXPERIMENTS[exp_id].build()
+        except ExperimentCheckFailed as exc:  # a builder's own guard
+            raise ExperimentCheckFailed(f"{exp_id}: {exc}") from None
 
 
 def _experiment_worker(
     exp_id: str,
     backend: str | None,
-    record_metrics: bool,
     runlog_payload: dict[str, str] | None = None,
-) -> tuple[str, list[dict], dict[str, Any] | None, list[dict[str, Any]]]:
+) -> tuple[str, list[dict], dict[str, Any], list[dict[str, Any]]]:
     """Run one experiment in this process; return ``(id, rows, metrics,
     runlog_events)``.
 
-    Installs a fresh registry (when metrics are recorded) and the
-    requested backend default before building the table, so the child is
-    indistinguishable from a sequential in-process run.  The parent's
-    run-log context arrives in ``runlog_payload``; the worker's event
-    buffer rides back with the result and is absorbed in submission
-    order (like the registry snapshot).
+    Installs a fresh registry and the requested backend default before
+    building the table, so the child is indistinguishable from a
+    sequential in-process run.  The parent's run-log context arrives in
+    ``runlog_payload``; the worker's event buffer rides back with the
+    result and is absorbed in submission order (like the registry
+    snapshot).
     """
     from ..arrays.vector_sim import set_default_backend
 
     if backend is not None:
         set_default_backend(backend)
-    snapshot: dict[str, Any] | None = None
+    reg = MetricsRegistry()
+    set_registry(reg)
     with runlog.worker_scope(runlog_payload, task=exp_id) as rl:
-        if record_metrics:
-            reg = MetricsRegistry()
-            set_registry(reg)
-            rows = _run_one(exp_id)
-            snapshot = reg.to_json()
-        else:
-            rows = _run_one(exp_id)
+        rows = _run_one(exp_id)
     events = rl.events if rl is not None else []
-    return exp_id, rows, snapshot, events
+    return exp_id, rows, reg.to_json(), events
 
 
 def run_experiments(
     exp_ids: Sequence[str],
     jobs: int | None = None,
     backend: str | None = None,
-    record_metrics: bool = True,
 ) -> list[tuple[str, list[dict]]]:
     """Build several experiment tables, optionally across processes.
 
@@ -86,9 +102,9 @@ def run_experiments(
     backend:
         Simulator backend for the runs (``None`` keeps each process's
         default, i.e. ``REPRO_SIM_BACKEND`` or ``reference``).
-    record_metrics:
-        When true, per-worker registries are merged into this process's
-        registry so counters match a sequential run exactly.
+
+    Per-worker registries are merged into this process's registry, so
+    counters match a sequential run exactly.
 
     Returns ``[(exp_id, rows), ...]`` in ``exp_ids`` order.
     """
@@ -100,7 +116,7 @@ def run_experiments(
 
     # Run identity: the workload, never the parallelism degree.
     params = {"exp_ids": list(exp_ids), "backend": backend}
-    with runlog.run_scope("bench", params) as rl:
+    with runlog.run_scope("reproduce", params) as rl:
         if not jobs or jobs <= 1 or len(exp_ids) <= 1:
             # Sequential runs share this process's registry already;
             # apply the backend override around the loop, restore after.
@@ -130,10 +146,7 @@ def run_experiments(
             initializer=clear_compiled_cache,
         ) as pool:
             futures = [
-                pool.submit(
-                    _experiment_worker, eid, backend, record_metrics,
-                    payload,
-                )
+                pool.submit(_experiment_worker, eid, backend, payload)
                 for eid in exp_ids
             ]
             # Collect in submission order: deterministic regardless of
@@ -141,9 +154,53 @@ def run_experiments(
             # same rule as the registry snapshots.
             for fut in futures:
                 eid, rows, snapshot, events = fut.result()
-                if snapshot is not None:
-                    get_registry().merge_json(snapshot)
+                get_registry().merge_json(snapshot)
                 if rl is not None:
                     rl.absorb(events)
                 results.append((eid, rows))
         return results
+
+
+def infer_dim(rows: Sequence[Mapping], key: str) -> int | None:
+    """Largest numeric ``rows[*][key]`` — the problem size the run peaked at."""
+    vals = [
+        r[key]
+        for r in rows
+        if isinstance(r.get(key), (int, float)) and not isinstance(r.get(key), bool)
+    ]
+    return int(max(vals)) if vals else None
+
+
+def record(tables: Sequence[tuple[str, list[dict], str]], root: Path) -> None:
+    """Persist checked ``(exp_id, rows, text)`` tables under ``root``.
+
+    Writes ``benchmarks/out/<exp_id>.txt`` (the printed table) and
+    ``<exp_id>.json`` (schema-versioned rows), appends one
+    :func:`repro.obs.perf.make_record` per table to
+    ``benchmarks/out/history.jsonl`` and rolls the history up into
+    ``BENCH_PERF.json``.  A record holds the experiment's ``measures``,
+    the ``n``/``m`` inferred from its rows, the commit and the open run
+    id — never a table size or a wall-clock value: timing verdicts come
+    from the end-to-end benchmark in ``benchmarks/e2e/``.
+    """
+    from . import EXPERIMENTS
+
+    out = root / "benchmarks" / "out"
+    out.mkdir(exist_ok=True)
+    history = out / "history.jsonl"
+    commit = perf.current_commit(root)
+    for exp_id, rows, text in tables:
+        exp = EXPERIMENTS[exp_id]
+        (out / f"{exp_id}.txt").write_text(text)
+        doc = {"version": perf.SCHEMA_VERSION, "exp_id": exp_id,
+               "title": exp.title, "rows": rows}
+        (out / f"{exp_id}.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True, default=repr) + "\n"
+        )
+        measures = {k: float(v) for k, v in exp.measures(rows).items()}
+        perf.append_history(history, perf.make_record(
+            exp_id, measures, title=exp.title,
+            n=infer_dim(rows, "n"), m=infer_dim(rows, "m"), commit=commit,
+            run_id=runlog.current_run_id(),
+        ))
+    perf.write_trajectory(root / "BENCH_PERF.json", perf.load_history(history))

@@ -9,8 +9,12 @@ from ..core.ggraph import group_by_columns
 from ..core.partitioner import partition
 from ..partitioning.coalescing import coalesce_by_strips
 from ..partitioning.decomposition import band_matmul_decomposition
+from .runner import require
 
-__all__ = ["coalescing_storage", "cut_and_pile_census", "band_decomposition"]
+__all__ = [
+    "coalescing_storage", "check_coalescing", "cut_and_pile_census",
+    "check_cut_and_pile", "band_decomposition", "check_bands",
+]
 
 
 def coalescing_storage(ns=(6, 9, 12, 15), m: int = 4) -> list[dict]:
@@ -31,6 +35,17 @@ def coalescing_storage(ns=(6, 9, 12, 15), m: int = 4) -> list[dict]:
             }
         )
     return rows
+
+
+def check_coalescing(rows: list[dict]) -> None:
+    """F01: LSGP storage grows super-linearly, within 5x of n^2/m."""
+    storages = [r["lsgp_storage_per_cell"] for r in rows]
+    require(storages == sorted(storages), "storage grows with n")
+    require(storages[-1] > storages[0] * (rows[-1]["n"] / rows[0]["n"]),
+            "storage grows super-linearly in n")
+    for r in rows:
+        require(0.2 * r["n^2/m"] <= r["lsgp_storage_per_cell"] <= 5 * r["n^2/m"],
+                "0.2 n^2/m <= lsgp_storage_per_cell <= 5 n^2/m")
 
 
 def cut_and_pile_census(
@@ -57,6 +72,14 @@ def cut_and_pile_census(
     return rows
 
 
+def check_cut_and_pile(rows: list[dict]) -> None:
+    """F02: zero partitioning overhead; data piles through memory."""
+    for r in rows:
+        require(r["stalls"] == 0, "stalls == 0")
+        require(r["overhead"] == 0, "overhead == 0")
+        require(r["external_words"] > 0, "external_words > 0")
+
+
 def band_decomposition(n: int = 24, bands=(2, 4, 8, 12, 24), seed: int = 42) -> list[dict]:
     """F03: dense matmul as chained band sub-algorithms (Navarro)."""
     rng = np.random.default_rng(seed)
@@ -64,7 +87,7 @@ def band_decomposition(n: int = 24, bands=(2, 4, 8, 12, 24), seed: int = 42) -> 
     rows = []
     for w in bands:
         res = band_matmul_decomposition(a, b, w)
-        assert np.allclose(res.result, a @ b)
+        require(np.allclose(res.result, a @ b), f"band_w={w} product == a @ b")
         rows.append(
             {
                 "n": n,
@@ -77,3 +100,15 @@ def band_decomposition(n: int = 24, bands=(2, 4, 8, 12, 24), seed: int = 42) -> 
             }
         )
     return rows
+
+
+def check_bands(rows: list[dict]) -> None:
+    """F03: fewer passes with wider bands; C re-read on every pass."""
+    n = rows[0]["n"]
+    passes = [r["passes"] for r in rows]
+    require(passes == sorted(passes, reverse=True), "passes fall as bands widen")
+    require(rows[-1]["passes"] == 1, "the full-width band takes one pass")
+    require(rows[-1]["C_traffic_words"] == n * n,
+            "the full-width band moves C once (n^2 words)")
+    require(rows[0]["C_traffic_words"] > 10 * n * n,
+            "the narrowest band moves C more than 10 times")

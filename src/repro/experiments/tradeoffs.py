@@ -21,12 +21,17 @@ from ..core.metrics import (
     time_mixing_loss,
 )
 from ..arrays.faults import degraded_throughput
+from .runner import require
 
 __all__ = [
     "varying_time_census",
+    "check_varying_time",
     "tradeoff_sweep",
+    "check_tradeoffs",
     "baseline_sweep",
+    "check_baseline",
     "fault_sweep",
+    "check_faults",
 ]
 
 
@@ -59,6 +64,18 @@ def varying_time_census(n: int = 12, m: int = 4) -> list[dict]:
     return rows
 
 
+def check_varying_time(rows: list[dict]) -> None:
+    """F22: linear G-sets never mix times (Fig. 22b), 2-D blocks do
+    (Fig. 22a); occupancy + mixing + boundary losses sum to 1."""
+    for r in rows:
+        require(r["linear_mixing_loss"] == 0.0, "linear_mixing_loss == 0")
+        require(r["mesh_mixing_loss"] > 0.02, "mesh_mixing_loss > 0.02")
+        for geo in ("linear", "mesh"):
+            require(abs(r[f"{geo}_occ"] + r[f"{geo}_mixing_loss"]
+                        + r[f"{geo}_boundary"] - 1) < 1e-12,
+                    f"{geo} occ + mixing_loss + boundary == 1")
+
+
 def tradeoff_sweep(configs=((11, 4), (15, 4), (17, 9), (19, 4))) -> list[dict]:
     """T-EVAL: the Sec. 4.2 linear-vs-mesh comparison table."""
     rows = []
@@ -87,6 +104,23 @@ def tradeoff_sweep(configs=((11, 4), (15, 4), (17, 9), (19, 4))) -> list[dict]:
     return rows
 
 
+def check_tradeoffs(rows: list[dict]) -> None:
+    """T-EVAL: linear and mesh within one throughput class, linear ahead;
+    zero overhead; m+1 vs 2 sqrt(m) memory ports."""
+    by_cfg: dict[tuple[int, int], dict[str, dict]] = {}
+    for r in rows:
+        by_cfg.setdefault((r["n"], r["m"]), {})[r["geometry"]] = r
+    for (n, m), pair in by_cfg.items():
+        lin, mesh = pair["linear"], pair["mesh"]
+        require(0.6 < lin["T_measured"] / mesh["T_measured"] < 1.7,
+                "0.6 < linear / mesh throughput < 1.7")
+        require(lin["T_measured"] >= mesh["T_measured"],
+                "linear throughput >= mesh throughput")
+        require(lin["overhead"] == mesh["overhead"] == 0, "overhead == 0")
+        require(lin["mem_ports"] == m + 1, "linear mem_ports == m + 1")
+        require(mesh["mem_ports"] == 2 * int(m**0.5), "mesh mem_ports == 2 sqrt(m)")
+
+
 def baseline_sweep(configs=((8, 2), (12, 2), (12, 3), (16, 4))) -> list[dict]:
     """T-BASE: against the Núñez-Torralba block partitioning [22]."""
     rows = []
@@ -94,7 +128,8 @@ def baseline_sweep(configs=((8, 2), (12, 2), (12, 3), (16, 4))) -> list[dict]:
         m = s * s
         a = random_adjacency(n, 0.35, seed=n)
         theirs = run_nunez_torralba(a, s)
-        assert np.array_equal(theirs.result, warshall(a))
+        require(np.array_equal(theirs.result, warshall(a)),
+                f"Nunez-Torralba computes the closure at n={n}")
         gg = GGraph(tc_regular(n), group_by_columns)
         plan = make_mesh_gsets(gg, m)
         ours = evaluate_schedule(plan, schedule_gsets(plan))
@@ -112,6 +147,16 @@ def baseline_sweep(configs=((8, 2), (12, 2), (12, 3), (16, 4))) -> list[dict]:
             }
         )
     return rows
+
+
+def check_baseline(rows: list[dict]) -> None:
+    """T-BASE: (n/s)^3 chained kernels with per-kernel control, slower
+    than one steady cut-and-pile schedule."""
+    for r in rows:
+        q = -(-r["n"] // int(r["cells"] ** 0.5))
+        require(r["NT_kernels"] == q**3, "NT_kernels == ceil(n/s)^3")
+        require(r["NT_control_steps"] > 1, "NT_control_steps > 1")
+        require(r["speedup"] > 1.0, "speedup > 1")
 
 
 def fault_sweep(configs=((12, 4, 1), (16, 9, 1), (16, 9, 2))) -> list[dict]:
@@ -135,3 +180,17 @@ def fault_sweep(configs=((12, 4, 1), (16, 9, 1), (16, 9, 2))) -> list[dict]:
                 }
             )
     return rows
+
+
+def check_faults(rows: list[dict]) -> None:
+    """T-FT: a linear bypass loses fewer cells and keeps more throughput
+    than a mesh row retirement."""
+    by_cfg: dict[tuple[int, int, int], dict[str, dict]] = {}
+    for r in rows:
+        by_cfg.setdefault((r["n"], r["m"], r["failures"]), {})[r["geometry"]] = r
+    for pair in by_cfg.values():
+        require(pair["linear"]["cells_lost"] < pair["mesh"]["cells_lost"],
+                "linear cells_lost < mesh cells_lost")
+        require(pair["linear"]["throughput_retention"]
+                > pair["mesh"]["throughput_retention"],
+                "linear throughput_retention > mesh throughput_retention")

@@ -3,9 +3,9 @@
 Three instruments, one package:
 
 * :mod:`repro.obs.metrics` — a **metrics registry** (counters, gauges,
-  histograms) with Prometheus-text and JSON exporters; the benchmark
-  harness routes every table through it so each experiment also lands as
-  machine-readable ``benchmarks/out/<exp_id>.json``.
+  histograms) with Prometheus-text and JSON exporters; ``repro stats``
+  prints it, and parallel experiment workers merge their snapshots into
+  the parent's.
 * :mod:`repro.obs.tracing` — **stage spans**, the one way to mark a
   stage (transforms, grouping, G-set selection, scheduling, plan
   building, compile, simulation, campaigns, verification, ...).  Each

@@ -3,9 +3,8 @@
 The registry is the aggregate side of the observability layer
 (:mod:`repro.obs`): code records named, optionally labelled values, and
 the registry renders them either as Prometheus text-exposition format
-(for eyeballing / scraping) or as a plain JSON-able dict (for the
-benchmark harness's machine-readable ``benchmarks/out/<exp_id>.json``
-artefacts).
+(for eyeballing / scraping) or as a plain JSON-able dict (which worker
+processes send back to be merged into the parent's registry).
 
 Design notes
 ------------

@@ -4,8 +4,8 @@ The registry/probe layer (:mod:`repro.obs.metrics`, :mod:`repro.obs.probe`)
 measures one run; this module makes those measurements *persist* and
 *compare*:
 
-* **history store** — every benchmark run appends one JSON line to
-  ``benchmarks/out/history.jsonl`` (a :func:`make_record` dict keyed by
+* **history store** — every ``repro reproduce --record`` run appends one
+  JSON line per experiment to ``benchmarks/out/history.jsonl`` (a :func:`make_record` dict keyed by
   experiment id, git commit, and problem size), and the latest runs are
   rolled up into a repo-root ``BENCH_PERF.json`` trajectory file so the
   perf history travels with the repository;
@@ -21,7 +21,7 @@ measures one run; this module makes those measurements *persist* and
 Everything here is stdlib-only and file-format-first: records are plain
 dicts, stores are JSONL/JSON files, and loaders sniff the three shapes
 (single record, record list / JSONL, trajectory roll-up) so the CLI can
-point at any artefact the harness produces.
+point at any artefact ``repro reproduce --record`` produces.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Seeded Hypothesis (``derandomize=True``) draws graphs from families
 that stress different parts of the engines: a chain (one long
 condensation path), a complete graph and one giant SCC (one component),
-many tiny SCCs linked in a DAG, and random edges.  Every graph may also
+many tiny SCCs linked in a DAG, random edges, and stochastic Kronecker
+graphs (the generator behind the closure-sparse workload and DS-AGREE).  Every graph may also
 carry self-loops, duplicate edges and isolated vertices, and the sizes
 straddle the 64-bit word boundary.  On each one the harness checks:
 
@@ -30,13 +31,13 @@ from hypothesis import strategies as st
 
 from repro.core.bitmatrix import pack_rows
 from repro.core.semiring import BOOLEAN, closure_reference
-from repro.datasets import GraphDataset, compute_closure, from_edges
+from repro.datasets import GraphDataset, compute_closure, from_edges, kronecker
 from repro.datasets.closure import _scc_labels
 
 EXAMPLES = int(os.environ.get("REPRO_DIFF_EXAMPLES", "40"))
 #: Wall-clock budget of the tier-1 profile, in seconds.
 BUDGET_S = 20.0
-FAMILIES = ("random", "chain", "complete", "giant", "tiny_sccs")
+FAMILIES = ("random", "chain", "complete", "giant", "tiny_sccs", "kron")
 
 
 def make_graph(
@@ -46,7 +47,9 @@ def make_graph(
 
     ``isolated`` trailing vertices get no edges (``from_edges(n=...)``
     keeps them); ``loops`` self-loops and ``dups`` repeated edges are
-    added on top of the family's edges.
+    added on top of the family's edges.  A ``kron`` graph fills the
+    largest power of two of vertices that fits (scale 5 or 6 at the
+    word-boundary sizes 63-65); the vertices above it stay isolated.
     """
     rng = np.random.default_rng(seed)
     core = max(n - isolated, 1)
@@ -72,6 +75,9 @@ def make_graph(
                 parts.append(np.array([[block[0], target]]))
             start += size
         edges = np.concatenate(parts)
+    elif family == "kron":
+        scale = core.bit_length() - 1
+        edges = kronecker(scale, int(rng.integers(1, 9)), seed=seed).edges
     else:
         edges = rng.integers(0, core, size=(int(rng.integers(0, 3 * core)), 2))
     extras = [edges.reshape(-1, 2)]

@@ -169,6 +169,8 @@ BAD_DESIGN_ARGS = [
     ("partition --policy nope", "nope"),
     ("schedule --policy nope", "nope"),
     ("profile --policy nope", "nope"),
+    ("faults --config linear-n9-m3 --jobs 0", "0"),
+    ("reproduce F07 --jobs 0", "0"),
 ]
 
 
@@ -274,21 +276,12 @@ def test_trace_backend_vector_keeps_sim_span(capsys, tmp_path) -> None:
     assert "sim.simulate" in names
 
 
-def test_bench_single_experiment(capsys) -> None:
-    out = run_cli(capsys, "bench", "F20")
-    assert "G-set scheduling policies" in out
-    assert "vertical" in out
-
-
-def test_bench_parallel_vector_matches_reproduce(capsys) -> None:
-    seq = run_cli(capsys, "reproduce", "F20", "F07")
-    par = run_cli(capsys, "bench", "F20", "F07",
-                  "--jobs", "2", "--backend", "vector")
-    assert par == seq
-
-
-def test_bench_unknown_experiment_exits_two() -> None:
-    assert main(["bench", "NOPE"]) == 2
+def test_bench_without_dataset_exits_two(capsys) -> None:
+    # Experiment tables are ``reproduce``'s; ``bench`` needs a dataset.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "F20"])
+    assert exc.value.code == 2
+    assert "--dataset" in capsys.readouterr().err
 
 
 def test_faults_parallel_jobs_match_sequential(capsys) -> None:
